@@ -5,10 +5,12 @@ The map multiplies every column ``m`` of the encoded table by
 on its ``|0>`` branch and ``exp(-i phi_m)`` on its ``|1>`` branch for the
 basis states of column ``m`` (the symmetric controlled-phase convention;
 the one-sided ``exp(-i phi)`` variant differs only by a phase that the
-final Hadamard-and-project step cancels).  Projecting the ancilla back
-onto ``|0>`` leaves the unnormalized state with amplitudes
-``x_lm cos(phi_m)``, whose cost-operator expectation is the scaled MSE
-``sum_l (sum_m x_lm cos(phi_m))^2``.
+final Hadamard-and-project step cancels).  The per-column phases commute
+and act only on the layout's cell indices, so they are simulated as one
+diagonal pass over those indices rather than gate by gate.  Projecting
+the ancilla back onto ``|0>`` leaves the unnormalized state with
+amplitudes ``x_lm cos(phi_m)``, whose cost-operator expectation is the
+scaled MSE ``sum_l (sum_m x_lm cos(phi_m))^2``.
 
 Trained weights are recovered as ``W_m = -cos(phi_m) / cos(phi_0)``; the
 response phase is conventionally pinned to ``phi_0 = pi`` so the search
@@ -21,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedTable
-from .encoders import ONE_HOT, PreparedState
+from .encoders import PreparedState
 from .statevector import (
-    DiagonalPhaseSpec,
     StateVector,
-    apply_controlled_diagonal_phase,
     apply_hadamard,
+    apply_signed_phases,
     extract_projected_qubit,
     project_qubit,
 )
@@ -90,7 +91,8 @@ def phases_from_cosines(cosines: np.ndarray) -> PhaseVector:
 
 def regression_map_state(prep: PreparedState, phases: PhaseVector) -> StateVector:
     """The pre-projection state: ancilla ``|+>`` attached above the data
-    register, one controlled phase per column, Hadamard on the ancilla."""
+    register, the signed phase ``exp(+-i phi_m)`` on every cell of column
+    ``m`` (one diagonal layer, either layout), Hadamard on the ancilla."""
     layout = prep.layout
     if phases.num_features != layout.num_features:
         raise ValueError(
@@ -101,19 +103,7 @@ def regression_map_state(prep: PreparedState, phases: PhaseVector) -> StateVecto
     amps = np.zeros(2 * dim, dtype=np.complex128)
     amps[:dim] = prep.state.amplitudes
     state = apply_hadamard(StateVector(layout.data_qubit_count + 1, amps), anc)
-
-    phis = phases.phis
-    if layout.scheme == ONE_HOT:
-        cols = layout.num_features + 1
-        for j in range(layout.num_cells):
-            spec = DiagonalPhaseSpec(((j, 1),), phis[j % cols], sign_qubit=anc)
-            state = apply_controlled_diagonal_phase(state, spec)
-    else:
-        for m in range(layout.num_features + 1):
-            controls = tuple((q, (m >> q) & 1) for q in range(layout.n_m))
-            state = apply_controlled_diagonal_phase(
-                state, DiagonalPhaseSpec(controls, phis[m], sign_qubit=anc)
-            )
+    state = apply_signed_phases(state, layout.code_basis_indices(), phases.phis, anc)
     return apply_hadamard(state, anc)
 
 

@@ -131,10 +131,6 @@ def standardize(raw: RawTable, equalize_columns: bool = True) -> StandardizedTab
     )
 
 
-def standardize_values(values: np.ndarray, equalize_columns: bool = True) -> StandardizedTable:
-    return standardize(RawTable(values), equalize_columns)
-
-
 @dataclass(frozen=True)
 class DigitizedTable:
     """Signed-binary fixed-point representation of the flattened table.
@@ -260,30 +256,28 @@ class BootstrapPlan:
             raise ValueError("batch_size must be >= 1")
 
 
-def bootstrap_indices(plan: BootstrapPlan, num_rows: int) -> np.ndarray:
-    """Row indices for every batch, shape (num_batches, batch_size).
-
-    Batch ``b`` is drawn from ``default_rng(SeedSequence([rng_seed, b]))``
-    so batches are reproducible independently of each other.
-    """
-    out = np.empty((plan.num_batches, plan.batch_size), dtype=np.int64)
-    for b in range(plan.num_batches):
-        rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, b]))
-        out[b] = rng.integers(0, num_rows, size=plan.batch_size)
-    return out
-
-
-def bootstrap_batch(raw: RawTable, plan: BootstrapPlan, batch_index: int) -> RawTable:
+def _batch_indices(plan: BootstrapPlan, num_rows: int, batch_index: int) -> np.ndarray:
+    """Row indices of batch ``b``, drawn from
+    ``default_rng(SeedSequence([rng_seed, b]))`` so batches are
+    reproducible independently of each other."""
     if not 0 <= batch_index < plan.num_batches:
         raise IndexError("batch index out of range")
     rng = np.random.default_rng(np.random.SeedSequence([plan.rng_seed, batch_index]))
-    idx = rng.integers(0, raw.num_rows, size=plan.batch_size)
+    return rng.integers(0, num_rows, size=plan.batch_size)
+
+
+def bootstrap_indices(plan: BootstrapPlan, num_rows: int) -> np.ndarray:
+    """Row indices for every batch, shape (num_batches, batch_size)."""
+    return np.array([_batch_indices(plan, num_rows, b) for b in range(plan.num_batches)])
+
+
+def bootstrap_batch(raw: RawTable, plan: BootstrapPlan, batch_index: int) -> RawTable:
+    idx = _batch_indices(plan, raw.num_rows, batch_index)
     return RawTable(raw.values[idx], column_names=raw.column_names)
 
 
 def bootstrap_batches(raw: RawTable, plan: BootstrapPlan) -> list[RawTable]:
-    idx = bootstrap_indices(plan, raw.num_rows)
-    return [RawTable(raw.values[row], column_names=raw.column_names) for row in idx]
+    return [bootstrap_batch(raw, plan, b) for b in range(plan.num_batches)]
 
 
 def load_csv(path) -> RawTable:

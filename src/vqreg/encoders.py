@@ -13,7 +13,10 @@ Three preparation routes are provided: direct amplitude injection (the
 circuit-free reference), the controlled-Ry/CNOT gadget chain for one-hot
 states, and the compact route that writes phases ``sin(x_k)`` via an
 ancilla (optionally driving them from a simulated quantum memory register
-holding the digitized bits).
+holding the digitized bits).  The classically driven compact routes apply
+all cell phases as one diagonal layer; the memory-driven route,
+:func:`prepare_compact_with_memory`, stays gate by gate, as the paper
+describes it, and is the oracle the fused layer is tested against.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .statevector import (
     apply_cnot,
     apply_controlled_diagonal_phase,
     apply_controlled_ry,
+    apply_signed_phases,
     basis_state,
     extract_projected_qubit,
     project_qubit,
@@ -197,25 +201,37 @@ def _qpu_controls(layout: EncodingLayout, row: int, col: int) -> tuple:
     return tuple((q, (index >> q) & 1) for q in range(layout.n_k))
 
 
+def _compact_from_phases(layout: EncodingLayout, x: np.ndarray) -> PreparedState:
+    """Ancilla ``|+>`` over a uniform register superposition, the phase
+    ``exp(-i Z_A x_lm)`` on every real cell as one diagonal layer, then
+    post-selection of the ancilla on ``|->``."""
+    _check_simulable(layout)
+    n = layout.n_k + 1
+    anc = layout.n_k
+    amps = np.full(1 << n, 1.0 / np.sqrt(2.0 * (1 << layout.n_k)), dtype=np.complex128)
+    state = apply_signed_phases(StateVector(n, amps), layout.code_basis_indices(), -x, anc)
+    projected, prob = project_qubit(state, anc, "x-")
+    if prob <= 0.0:
+        raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
+    conditional = extract_projected_qubit(projected, anc, "x-")
+    # fix the overall phase (-i from the projection) so code amplitudes are real
+    return PreparedState(
+        StateVector(conditional.num_qubits, 1j * conditional.amplitudes),
+        layout,
+        prob,
+        AMPLITUDE_SIN_DIGITIZED,
+    )
+
+
 def memory_free_compact(dig: DigitizedTable) -> PreparedState:
-    """Compact preparation with the phases driven classically: ancilla
-    ``|+>``, uniform register superposition, one ancilla-signed phase
-    ``exp(-i Z_A x_k)`` per real cell, then post-selection of the ancilla
-    on ``|->``.  The returned conditional state has amplitudes
+    """Compact preparation with the phases driven classically: one
+    ancilla-signed phase ``exp(-i Z_A x_k)`` per real cell from the
+    digitized values.  The returned conditional state has amplitudes
     proportional to ``sin(x_k)`` and squared norm equal to the success
     probability."""
     layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features, dig.n_bits)
-    n = layout.n_k + 1
-    anc = layout.n_k
-    dim_qpu = 1 << layout.n_k
-    amps = np.full(1 << n, 1.0 / np.sqrt(2.0 * dim_qpu), dtype=np.complex128)
-    state = StateVector(n, amps)
-    x = dig.x_tilde.reshape(dig.num_rows, dig.num_features + 1)
-    for l in range(dig.num_rows):
-        for m in range(dig.num_features + 1):
-            spec = DiagonalPhaseSpec(_qpu_controls(layout, l, m), -x[l, m], sign_qubit=anc)
-            state = apply_controlled_diagonal_phase(state, spec)
-    return _post_select_compact(state, anc, layout)
+    return _compact_from_phases(
+        layout, dig.x_tilde.reshape(dig.num_rows, dig.num_features + 1))
 
 
 def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
@@ -275,35 +291,11 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
     return PreparedState(conditional, layout, prob, AMPLITUDE_SIN_DIGITIZED)
 
 
-def _post_select_compact(state: StateVector, anc: int, layout: EncodingLayout) -> PreparedState:
-    projected, prob = project_qubit(state, anc, "x-")
-    if prob <= 0.0:
-        raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
-    conditional = extract_projected_qubit(projected, anc, "x-")
-    # fix the overall phase (-i from the projection) so code amplitudes are real
-    return PreparedState(
-        StateVector(conditional.num_qubits, 1j * conditional.amplitudes),
-        layout,
-        prob,
-        AMPLITUDE_SIN_DIGITIZED,
-    )
-
-
 def compact_from_exact_values(std: StandardizedTable) -> PreparedState:
     """Infinite-precision limit of the compact route: phases are the exact
     standardized values, amplitudes proportional to ``sin(x_lm)``."""
     layout = make_layout(COMPACT_BINARY, std.num_rows, std.num_features)
-    n = layout.n_k + 1
-    anc = layout.n_k
-    dim_qpu = 1 << layout.n_k
-    amps = np.full(1 << n, 1.0 / np.sqrt(2.0 * dim_qpu), dtype=np.complex128)
-    state = StateVector(n, amps)
-    for l in range(std.num_rows):
-        for m in range(std.num_features + 1):
-            spec = DiagonalPhaseSpec(_qpu_controls(layout, l, m), -std.values[l, m],
-                                     sign_qubit=anc)
-            state = apply_controlled_diagonal_phase(state, spec)
-    return _post_select_compact(state, anc, layout)
+    return _compact_from_phases(layout, std.values)
 
 
 def success_probability_approximations(dig: DigitizedTable) -> dict:

@@ -23,14 +23,7 @@ import numpy as np
 from .circuit import PhaseVector, apply_regression_map
 from .data import StandardizedTable
 from .encoders import ONE_HOT, EncodingLayout, PreparedState
-from .statevector import (
-    DiagonalPhaseSpec,
-    StateVector,
-    apply_controlled_diagonal_phase,
-    apply_hadamard,
-    index_bits,
-    sample_indices,
-)
+from .statevector import StateVector, apply_hadamard, index_bits, sample_indices
 
 ESTIMATOR_EXACT = "exact"
 ESTIMATOR_COMPACT_X = "compact-x-basis"
@@ -218,6 +211,24 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+#: ``(-i)**k`` for ``k = 0..3``: the phase S-dagger gates leave on a basis state
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def _rotate_to_pauli_basis(state: StateVector, x_mask: int, y_mask: int) -> StateVector:
+    """Rotate the qubits in ``x_mask`` to the X basis and those in
+    ``y_mask`` to the Y basis: S-dagger on every Y qubit as one diagonal
+    multiply by ``(-i)**popcount(index & y_mask)``, then a Hadamard on every
+    X or Y qubit in ascending order."""
+    if y_mask:
+        k = np.bitwise_count(np.arange(state.amplitudes.size, dtype=np.int64) & y_mask)
+        state = StateVector(state.num_qubits, state.amplitudes * _MINUS_I_POWERS[k & 3])
+    for q in range(state.num_qubits):
+        if ((x_mask | y_mask) >> q) & 1:
+            state = apply_hadamard(state, q)
+    return state
+
+
 def _check_delta(delta: float) -> None:
     if not 0.0 <= delta < 0.5:
         raise ValueError("readout delta must lie in [0, 0.5)")
@@ -246,14 +257,12 @@ def shot_estimate_compact(
     if psi_pre_projection.num_qubits != n_data + 1:
         raise LayoutMismatchError("expected the pre-projection state (data + ancilla)")
 
-    state = psi_pre_projection
-    for q in range(layout.n_m):
-        state = apply_hadamard(state, q)
+    col_mask = (1 << layout.n_m) - 1
+    state = _rotate_to_pauli_basis(psi_pre_projection, col_mask, 0)
 
     root = _seed_sequence(seed)
     sample_seed, noise_seed = root.spawn(2)
     idx = sample_indices(state, shots, sample_seed)
-    col_mask = (1 << layout.n_m) - 1
     accept = (((idx >> n_data) & 1) == 0) & ((idx & col_mask) == 0)
     if readout_delta > 0.0:
         keep = readout_attenuation(readout_delta, measured_qubit_count(layout))
@@ -318,19 +327,11 @@ def shot_estimate_one_hot(
         pair_sum = ((row_sums**2).sum(axis=1) - n_data) / 2.0
         return acc * pair_sum
 
-    # (b) global X basis
-    state_x = psi_pre_projection
-    for q in range(n_data):
-        state_x = apply_hadamard(state_x, q)
+    # (b) global X basis, (c) global Y basis
+    data_mask = (1 << n_data) - 1
+    state_x = _rotate_to_pauli_basis(psi_pre_projection, data_mask, 0)
     w_b = pair_weights(state_x, split[1], children[2], children[3])
-
-    # (c) global Y basis (Sdg then H per qubit)
-    state_y = psi_pre_projection
-    for q in range(n_data):
-        state_y = apply_controlled_diagonal_phase(
-            state_y, DiagonalPhaseSpec(((q, 1),), -np.pi / 2.0)
-        )
-        state_y = apply_hadamard(state_y, q)
+    state_y = _rotate_to_pauli_basis(psi_pre_projection, 0, data_mask)
     w_c = pair_weights(state_y, split[2], children[4], children[5])
 
     value = w_a.mean() + 0.5 * (w_b.mean() + w_c.mean())
@@ -399,17 +400,16 @@ def pauli_shadow_estimate(
     outcomes = np.empty(config.snapshots, dtype=np.int64)
     for key in np.unique(combo_key):
         mask = combo_key == key
-        rotated = psi0
+        x_mask = y_mask = 0
         value = int(key)
         for q in range(n):
             basis_q = value % 3
             value //= 3
-            if basis_q == 1:  # Y: Sdg then H
-                rotated = apply_controlled_diagonal_phase(
-                    rotated, DiagonalPhaseSpec(((q, 1),), -np.pi / 2.0)
-                )
-            if basis_q in (0, 1):
-                rotated = apply_hadamard(rotated, q)
+            if basis_q == 0:
+                x_mask |= 1 << q
+            elif basis_q == 1:
+                y_mask |= 1 << q
+        rotated = _rotate_to_pauli_basis(psi0, x_mask, y_mask)
         probs = rotated.probabilities()
         probs = probs / probs.sum()
         outcomes[mask] = outcome_rng.choice(probs.size, size=int(mask.sum()), p=probs)

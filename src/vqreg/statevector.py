@@ -1,6 +1,12 @@
 """Dense complex state-vector simulation with the small gate set the
 regression circuits need.
 
+Every phase stage of the model (the regression map, the compact
+encoding's phase imprint) is one layer of commuting ancilla-signed phases
+on known basis indices, so it is applied as a single diagonal pass by
+:func:`apply_signed_phases`.  The single controlled-phase gate stays for
+the memory-driven compact route, which the paper spells out gate by gate.
+
 Conventions used everywhere in this package:
 
 * Qubits are **little-endian**: qubit ``q`` owns bit ``q`` of the basis
@@ -181,6 +187,24 @@ def apply_controlled_diagonal_phase(state: StateVector, spec: DiagonalPhaseSpec)
     else:
         sign = 1.0 - 2.0 * ((idx[sel] >> spec.sign_qubit) & 1)
         amps[sel] *= np.exp(1j * spec.angle * sign)
+    return StateVector(state.num_qubits, amps)
+
+
+def apply_signed_phases(state: StateVector, indices, angles, sign_qubit: int) -> StateVector:
+    """One diagonal layer of ancilla-signed phases: basis index
+    ``indices[k]`` gains ``exp(+1j * angles[k])`` where ``sign_qubit`` is 0
+    and ``indices[k] | 1 << sign_qubit`` gains ``exp(-1j * angles[k])``.
+
+    ``indices`` must have the sign bit clear and no repeats; ``angles``
+    broadcasts against it.  Equal to one signed controlled-phase gate per
+    index, applied at once.
+    """
+    _check_qubit(state, sign_qubit)
+    idx = np.asarray(indices, dtype=np.int64)
+    theta = np.asarray(angles, dtype=np.float64)
+    amps = state.amplitudes.copy()
+    amps[idx] *= np.exp(1j * theta)
+    amps[idx | (1 << sign_qubit)] *= np.exp(1j * -theta)
     return StateVector(state.num_qubits, amps)
 
 

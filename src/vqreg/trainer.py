@@ -28,6 +28,7 @@ from .data import (
     RawTable,
     StandardizedTable,
     ZeroVarianceColumnError,
+    bootstrap_batch,
     power_feature_table,
     standardize,
 )
@@ -335,10 +336,8 @@ def fit_raw_table(raw: RawTable, reg: RegularizationParams | None = None,
 
 
 def _ensemble_worker(args):
-    (values, names, master_seed, batch_index, batch_size, reg, config, equalize) = args
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, batch_index]))
-    idx = rng.integers(0, values.shape[0], size=batch_size)
-    batch = RawTable(values[idx], column_names=names)
+    (raw, plan, batch_index, reg, config, equalize) = args
+    batch = bootstrap_batch(raw, plan, batch_index)
     batch_seed = int(np.random.SeedSequence([config.seed, batch_index]).generate_state(1)[0])
     batch_config = replace(config, seed=batch_seed)
     try:
@@ -367,11 +366,7 @@ def fit_ensemble(
     """
     reg = reg or RegularizationParams()
     config = config or TrainConfig()
-    args = [
-        (raw.values, raw.column_names, plan.rng_seed, b, plan.batch_size, reg, config,
-         equalize_columns)
-        for b in range(plan.num_batches)
-    ]
+    args = [(raw, plan, b, reg, config, equalize_columns) for b in range(plan.num_batches)]
     weights = np.full((plan.num_batches, raw.num_features), np.nan)
     failures = []
     if jobs and jobs > 1:

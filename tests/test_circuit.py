@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqreg.circuit import (
     DegeneratePhaseError,
@@ -16,6 +17,12 @@ from vqreg.circuit import (
 from vqreg.data import RawTable, standardize
 from vqreg.encoders import COMPACT_BINARY, ONE_HOT, prepare_exact
 from vqreg.measurement import exact_expectation
+from vqreg.statevector import (
+    DiagonalPhaseSpec,
+    StateVector,
+    apply_controlled_diagonal_phase,
+    apply_hadamard,
+)
 from tests.test_encoders import table_from_values
 
 
@@ -162,3 +169,49 @@ def test_regression_map_state_dimensions():
     assert full.num_qubits == prep.layout.data_qubit_count + 1
     with pytest.raises(ValueError):
         regression_map_state(prep, PhaseVector(np.array([np.pi, 0.5, 0.1])))
+
+
+def gate_level_map_state(prep, phases):
+    """The regression map as the circuit is drawn: one signed controlled
+    phase per one-hot cell qubit, or per compact column-register value."""
+    layout = prep.layout
+    anc = layout.ancilla
+    dim = prep.state.amplitudes.size
+    amps = np.zeros(2 * dim, dtype=np.complex128)
+    amps[:dim] = prep.state.amplitudes
+    state = apply_hadamard(StateVector(layout.data_qubit_count + 1, amps), anc)
+    cols = layout.num_features + 1
+    if layout.scheme == ONE_HOT:
+        specs = [DiagonalPhaseSpec(((j, 1),), phases.phis[j % cols], sign_qubit=anc)
+                 for j in range(layout.num_cells)]
+    else:
+        specs = [DiagonalPhaseSpec(tuple((q, (m >> q) & 1) for q in range(layout.n_m)),
+                                   phases.phis[m], sign_qubit=anc)
+                 for m in range(cols)]
+    for spec in specs:
+        state = apply_controlled_diagonal_phase(state, spec)
+    return apply_hadamard(state, anc)
+
+
+@st.composite
+def map_cases(draw):
+    scheme = draw(st.sampled_from([ONE_HOT, COMPACT_BINARY]))
+    num_features = draw(st.integers(1, 5))
+    max_rows = 12 // (num_features + 1) if scheme == ONE_HOT else 20
+    num_rows = draw(st.integers(2, max_rows))
+    phis = draw(st.lists(st.floats(-4.0, 4.0), min_size=num_features + 1,
+                         max_size=num_features + 1))
+    return scheme, random_std(num_rows, num_features, draw(st.integers(0, 2**32 - 1))), phis
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_cases())
+def test_fused_map_equals_gate_level_map(case):
+    scheme, std, phis = case
+    prep = prepare_exact(std, scheme)
+    phases = PhaseVector(np.array(phis))
+    fused = regression_map_state(prep, phases).amplitudes
+    gates = gate_level_map_state(prep, phases).amplitudes
+    code = prep.layout.code_basis_indices()
+    for half in (code, code | (1 << prep.layout.ancilla)):
+        assert np.array_equal(fused[half], gates[half])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vqreg.circuit import PhaseVector
 from vqreg.data import DigitizedTable, RawTable, digitize, standardize
@@ -127,14 +128,16 @@ def test_memory_free_amplitudes_are_sin_of_digitized():
     assert abs(prep.success_probability - np.sum(np.sin(dig.x_tilde) ** 2) / 4.0) < 1e-12
 
 
-def test_memory_register_equivalence():
-    for seed in range(3):
-        std = random_std(2, 1, seed)
-        dig = digitize(std, 3)
-        mf = memory_free_compact(dig)
-        qm = prepare_compact_with_memory(dig)
-        np.testing.assert_allclose(mf.state.amplitudes, qm.state.amplitudes, atol=1e-12)
-        assert abs(mf.success_probability - qm.success_probability) < 1e-12
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_memory_register_equivalence(num_rows, num_features, n_bits, seed):
+    layout = make_layout(COMPACT_BINARY, num_rows, num_features, n_bits, with_memory=True)
+    assume(1 + layout.n_k + layout.memory_qubit_count <= 18)
+    dig = digitize(random_std(num_rows, num_features, seed), n_bits)
+    mf = memory_free_compact(dig)
+    qm = prepare_compact_with_memory(dig)
+    np.testing.assert_allclose(mf.state.amplitudes, qm.state.amplitudes, atol=1e-12)
+    assert abs(mf.success_probability - qm.success_probability) < 1e-12
 
 
 def test_post_selection_consistency():
@@ -224,6 +227,20 @@ def test_memory_qubit_budget_guard():
     dig = digitize(std, 8)  # 1 + 4 + 128 qubits: far beyond the simulator
     with pytest.raises(ValueError, match="memory_free_compact"):
         prepare_compact_with_memory(dig)
+
+
+def test_compact_routes_enforce_the_qubit_cap():
+    # 2**22 + 1 rows need 23 row qubits: with the column qubit and the
+    # ancilla that is one past the 24-qubit cap.  Broadcast views keep the
+    # table itself free; the check must come before the state is allocated.
+    num_rows = (1 << 22) + 1
+    cells = np.broadcast_to(0.25, (num_rows, 2))
+    dig = DigitizedTable(np.broadcast_to(np.int64(0), (2 * num_rows, 1)), 1, cells.reshape(-1),
+                         np.array([0.5]), num_rows, 1)
+    with pytest.raises(ValueError, match="capped at 24"):
+        memory_free_compact(dig)
+    with pytest.raises(ValueError, match="capped at 24"):
+        compact_from_exact_values(table_from_values(cells))
 
 
 def test_layout_geometry():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqreg.circuit import PhaseVector, apply_regression_map, regression_map_state
 from vqreg.data import RawTable, standardize
@@ -25,7 +26,14 @@ from vqreg.measurement import (
     variance_operator_derived,
     variance_identity_plus_m,
 )
-from vqreg.statevector import basis_state, from_amplitudes
+from vqreg.measurement import _rotate_to_pauli_basis
+from vqreg.statevector import (
+    DiagonalPhaseSpec,
+    apply_controlled_diagonal_phase,
+    apply_hadamard,
+    basis_state,
+    from_amplitudes,
+)
 from tests.test_encoders import table_from_values
 
 
@@ -277,3 +285,24 @@ def test_variance_formulas():
 def test_measured_qubit_counts():
     assert measured_qubit_count(make_layout(ONE_HOT, 4, 3)) == 17
     assert measured_qubit_count(make_layout(COMPACT_BINARY, 4, 3)) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_pauli_basis_rotation_matches_per_qubit_gates(num_qubits, data):
+    bases = data.draw(st.lists(st.sampled_from("XYZ"), min_size=num_qubits,
+                               max_size=num_qubits))
+    x_mask = sum(1 << q for q, b in enumerate(bases) if b == "X")
+    y_mask = sum(1 << q for q, b in enumerate(bases) if b == "Y")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
+    state = from_amplitudes(num_qubits, amps / np.linalg.norm(amps))
+    expected = state
+    for q, basis in enumerate(bases):
+        if basis == "Y":  # S-dagger, then H
+            expected = apply_controlled_diagonal_phase(
+                expected, DiagonalPhaseSpec(((q, 1),), -np.pi / 2.0))
+        if basis in "XY":
+            expected = apply_hadamard(expected, q)
+    got = _rotate_to_pauli_basis(state, x_mask, y_mask)
+    np.testing.assert_allclose(got.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
