@@ -24,13 +24,7 @@ import numpy as np
 
 from .data import StandardizedTable
 from .encoders import PreparedState
-from .statevector import (
-    StateVector,
-    apply_hadamard,
-    apply_signed_phases,
-    extract_projected_qubit,
-    project_qubit,
-)
+from .statevector import StateVector, apply_hadamard, apply_signed_phases, postselect
 
 DEGENERATE_COS_TOL = 1e-9
 
@@ -108,17 +102,14 @@ def regression_map_state(prep: PreparedState, phases: PhaseVector) -> StateVecto
 
 
 def apply_regression_map(prep: PreparedState, phases: PhaseVector) -> tuple[StateVector, float]:
-    """Run the map and project the ancilla onto ``|0>``.
+    """Run the map and post-select the ancilla on ``|0>``.
 
     Returns the **unnormalized** post-selected state over the data qubits
     (amplitudes ``x_lm cos(phi_m)`` for a unit-norm input) and the
     ancilla-0 probability ``sum x_lm^2 cos^2(phi_m)`` relative to the
     input norm.
     """
-    anc = prep.layout.ancilla
-    full = regression_map_state(prep, phases)
-    projected, prob = project_qubit(full, anc, "z0")
-    return extract_projected_qubit(projected, anc, "z0"), prob
+    return postselect(regression_map_state(prep, phases), prep.layout.ancilla, "z0")
 
 
 def analytic_cost(std: StandardizedTable, phases: PhaseVector) -> float:

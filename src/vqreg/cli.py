@@ -5,7 +5,8 @@ noise sweeps, shadow studies, and resource tables.
 Every run echoes its fully resolved configuration (including the seed)
 into the JSON output, and all outputs are byte-identical across re-runs
 with the same inputs.  Exit codes: 0 success, 2 usage, 3 malformed input
-data, 4 I/O failure, 5 training did not converge, 1 anything else.
+data, 4 I/O failure, 5 training did not converge (including an ensemble
+whose every batch failed), 1 anything else.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .data import (
     save_results_json,
     standardize,
 )
-from .encoders import prepare_exact
+from .encoders import COMPACT_BINARY, ONE_HOT, prepare_exact
 from .measurement import (
     ShadowConfig,
     exact_expectation,
@@ -37,6 +38,7 @@ from .measurement import (
 )
 from .trainer import (
     BACKEND_ANALYTIC,
+    ConvergenceFailure,
     NelderMeadError,
     RegularizationParams,
     TrainConfig,
@@ -51,10 +53,6 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_CONVERGENCE = 5
 EXIT_OTHER = 1
-
-
-class ConvergenceFailure(RuntimeError):
-    pass
 
 
 def _output_path(name: str) -> str:
@@ -256,7 +254,7 @@ def cmd_shadow_study(args) -> int:
 def cmd_resources(args) -> int:
     table = []
     for L in args.rows_list:
-        for scheme in (resources.SCHEME_ONE_HOT, resources.SCHEME_COMPACT):
+        for scheme in (ONE_HOT, COMPACT_BINARY):
             est = resources.estimate(L, args.features, args.bits, scheme, args.gate_model)
             table.append(vars(est).copy())
     ratios = resources.sweep_shot_cost_ratio(args.rows_list, args.features, args.bits,

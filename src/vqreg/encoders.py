@@ -33,16 +33,12 @@ from .statevector import (
     apply_controlled_ry,
     apply_signed_phases,
     basis_state,
-    extract_projected_qubit,
-    project_qubit,
+    postselect,
 )
 
 ONE_HOT = "one-hot"
 COMPACT_BINARY = "compact-binary"
 EXACT_INJECTION = "exact-injection"
-
-AMPLITUDE_EXACT = "exact"
-AMPLITUDE_SIN_DIGITIZED = "sin-digitized"
 
 _MAX_SIM_QUBITS = 24
 
@@ -95,9 +91,7 @@ class EncodingLayout:
     def cell_basis_index(self, row: int, col: int) -> int:
         if not (0 <= row < self.num_rows and 0 <= col <= self.num_features):
             raise IndexError(f"cell ({row}, {col}) outside the table")
-        if self.scheme == ONE_HOT:
-            return 1 << (col + row * (self.num_features + 1))
-        return col + (row << self.n_m)
+        return int(self.code_basis_indices()[row, col])
 
     def code_basis_indices(self) -> np.ndarray:
         """Basis indices of all real cells, row-major, shape (L, M+1)."""
@@ -121,12 +115,9 @@ class PreparedState:
     state: StateVector
     layout: EncodingLayout
     success_probability: float
-    amplitude_model: str
 
     def normalized(self) -> "PreparedState":
-        return PreparedState(
-            self.state.renormalized(), self.layout, self.success_probability, self.amplitude_model
-        )
+        return PreparedState(self.state.renormalized(), self.layout, self.success_probability)
 
 
 def make_layout(scheme: str, num_rows: int, num_features: int, n_bits: int | None = None,
@@ -154,7 +145,7 @@ def prepare_exact(std: StandardizedTable, scheme: str = EXACT_INJECTION) -> Prep
     _check_simulable(layout)
     amps = np.zeros(1 << layout.data_qubit_count, dtype=np.complex128)
     amps[layout.code_basis_indices().reshape(-1)] = std.values.reshape(-1)
-    return PreparedState(StateVector(layout.data_qubit_count, amps), layout, 1.0, AMPLITUDE_EXACT)
+    return PreparedState(StateVector(layout.data_qubit_count, amps), layout, 1.0)
 
 
 def chain_angles(amplitudes: np.ndarray) -> np.ndarray:
@@ -193,12 +184,7 @@ def prepare_one_hot_chain(std: StandardizedTable) -> PreparedState:
     for j, theta in enumerate(thetas):
         state = apply_controlled_ry(state, control=j, target=j + 1, theta=theta)
         state = apply_cnot(state, control=j + 1, target=j)
-    return PreparedState(state, layout, 1.0, AMPLITUDE_EXACT)
-
-
-def _qpu_controls(layout: EncodingLayout, row: int, col: int) -> tuple:
-    index = col + (row << layout.n_m)
-    return tuple((q, (index >> q) & 1) for q in range(layout.n_k))
+    return PreparedState(state, layout, 1.0)
 
 
 def _compact_from_phases(layout: EncodingLayout, x: np.ndarray) -> PreparedState:
@@ -210,17 +196,11 @@ def _compact_from_phases(layout: EncodingLayout, x: np.ndarray) -> PreparedState
     anc = layout.n_k
     amps = np.full(1 << n, 1.0 / np.sqrt(2.0 * (1 << layout.n_k)), dtype=np.complex128)
     state = apply_signed_phases(StateVector(n, amps), layout.code_basis_indices(), -x, anc)
-    projected, prob = project_qubit(state, anc, "x-")
+    conditional, prob = postselect(state, anc, "x-")
     if prob <= 0.0:
         raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
-    conditional = extract_projected_qubit(projected, anc, "x-")
     # fix the overall phase (-i from the projection) so code amplitudes are real
-    return PreparedState(
-        StateVector(conditional.num_qubits, 1j * conditional.amplitudes),
-        layout,
-        prob,
-        AMPLITUDE_SIN_DIGITIZED,
-    )
+    return PreparedState(StateVector(layout.n_k, 1j * conditional.amplitudes), layout, prob)
 
 
 def memory_free_compact(dig: DigitizedTable) -> PreparedState:
@@ -268,9 +248,8 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
     amps[base | (1 << anc)] = 1.0 / np.sqrt(2.0 * dim_qpu)
     state = StateVector(n, amps)
 
-    cols = dig.num_features + 1
-    for k in range(k_cells):
-        controls = _qpu_controls(layout, k // cols, k % cols)
+    for k, index in enumerate(layout.code_basis_indices().reshape(-1)):
+        controls = tuple((q, (int(index) >> q) & 1) for q in range(layout.n_k))
         for j, dtheta in enumerate(dig.delta_thetas):
             mem_q = layout.n_k + k * dig.n_bits + j
             # exp(-i dtheta Z_A |k><k| Z_mem): split on the memory bit value
@@ -281,14 +260,12 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
                 state, DiagonalPhaseSpec(controls + ((mem_q, 1),), +dtheta, sign_qubit=anc)
             )
 
-    projected, prob = project_qubit(state, anc, "x-")
+    without_anc, prob = postselect(state, anc, "x-")
     if prob <= 0.0:
         raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
-    without_anc = extract_projected_qubit(projected, anc, "x-")
     # memory register is in a basis state: slice its block
     block = without_anc.amplitudes[(mem_pattern << layout.n_k) + qpu]
-    conditional = StateVector(layout.n_k, 1j * block)
-    return PreparedState(conditional, layout, prob, AMPLITUDE_SIN_DIGITIZED)
+    return PreparedState(StateVector(layout.n_k, 1j * block), layout, prob)
 
 
 def compact_from_exact_values(std: StandardizedTable) -> PreparedState:

@@ -195,9 +195,7 @@ def operator_identity_check(num_rows: int, num_features: int) -> OperatorIdentit
 
 def measured_qubit_count(layout: EncodingLayout) -> int:
     """Qubits read out per shot: the full data register plus the ancilla."""
-    if layout.scheme == ONE_HOT:
-        return layout.num_cells + 1
-    return layout.n_k + 1
+    return layout.ancilla + 1
 
 
 def readout_attenuation(delta: float, n_measured: int) -> float:
@@ -234,6 +232,22 @@ def _check_delta(delta: float) -> None:
         raise ValueError("readout delta must lie in [0, 0.5)")
 
 
+def _sample_accepted(state: StateVector, layout: EncodingLayout, shots: int,
+                     readout_delta: float, seeds) -> tuple:
+    """Draw ``shots`` basis indices from the pre-projection ``state`` and
+    flag the accepted ones: the ancilla reads 0 and, under readout error,
+    no measured bit misreads.  ``seeds`` is ``(sample_seed, noise_seed)``;
+    the second draws which shots are clean, each with probability
+    :func:`readout_attenuation`."""
+    sample_seed, noise_seed = seeds
+    idx = sample_indices(state, shots, sample_seed)
+    accept = ((idx >> layout.ancilla) & 1) == 0
+    if readout_delta > 0.0:
+        keep = readout_attenuation(readout_delta, measured_qubit_count(layout))
+        accept &= np.random.default_rng(noise_seed).random(shots) < keep
+    return idx, accept
+
+
 def shot_estimate_compact(
     psi_pre_projection: StateVector,
     layout: EncodingLayout,
@@ -253,21 +267,14 @@ def shot_estimate_compact(
     if shots < 1:
         raise ValueError("shots must be positive")
     _check_delta(readout_delta)
-    n_data = layout.n_k
-    if psi_pre_projection.num_qubits != n_data + 1:
+    if psi_pre_projection.num_qubits != layout.n_k + 1:
         raise LayoutMismatchError("expected the pre-projection state (data + ancilla)")
 
     col_mask = (1 << layout.n_m) - 1
     state = _rotate_to_pauli_basis(psi_pre_projection, col_mask, 0)
-
-    root = _seed_sequence(seed)
-    sample_seed, noise_seed = root.spawn(2)
-    idx = sample_indices(state, shots, sample_seed)
-    accept = (((idx >> n_data) & 1) == 0) & ((idx & col_mask) == 0)
-    if readout_delta > 0.0:
-        keep = readout_attenuation(readout_delta, measured_qubit_count(layout))
-        clean = np.random.default_rng(noise_seed).random(shots) < keep
-        accept = accept & clean
+    idx, accept = _sample_accepted(state, layout, shots, readout_delta,
+                                   _seed_sequence(seed).spawn(2))
+    accept &= (idx & col_mask) == 0
 
     scale = float(1 << layout.n_m)
     p_hat = accept.mean()
@@ -303,24 +310,15 @@ def shot_estimate_one_hot(
 
     third = shots // 3
     split = (shots - 2 * third, third, third)
-    root = _seed_sequence(seed)
-    children = root.spawn(6)
-    keep = readout_attenuation(readout_delta, measured_qubit_count(layout))
-
-    def draw(state, count, sample_seed, noise_seed):
-        idx = sample_indices(state, count, sample_seed)
-        acc = ((idx >> n_data) & 1) == 0
-        if readout_delta > 0.0:
-            clean = np.random.default_rng(noise_seed).random(count) < keep
-            acc = acc & clean
-        return idx, acc
+    children = _seed_sequence(seed).spawn(6)
 
     # (a) computational basis: identity term restricted to ancilla 0
-    _, acc_a = draw(psi_pre_projection, split[0], children[0], children[1])
+    _, acc_a = _sample_accepted(psi_pre_projection, layout, split[0], readout_delta,
+                                children[0:2])
     w_a = acc_a.astype(np.float64)
 
-    def pair_weights(state, count, sample_seed, noise_seed):
-        idx, acc = draw(state, count, sample_seed, noise_seed)
+    def pair_weights(state, count, seeds):
+        idx, acc = _sample_accepted(state, layout, count, readout_delta, seeds)
         bits = index_bits(idx, range(n_data))
         signs = 1.0 - 2.0 * bits
         row_sums = signs.reshape(count, layout.num_rows, layout.num_features + 1).sum(axis=2)
@@ -330,9 +328,9 @@ def shot_estimate_one_hot(
     # (b) global X basis, (c) global Y basis
     data_mask = (1 << n_data) - 1
     state_x = _rotate_to_pauli_basis(psi_pre_projection, data_mask, 0)
-    w_b = pair_weights(state_x, split[1], children[2], children[3])
+    w_b = pair_weights(state_x, split[1], children[2:4])
     state_y = _rotate_to_pauli_basis(psi_pre_projection, 0, data_mask)
-    w_c = pair_weights(state_y, split[2], children[4], children[5])
+    w_c = pair_weights(state_y, split[2], children[4:6])
 
     value = w_a.mean() + 0.5 * (w_b.mean() + w_c.mean())
     var = 0.0
@@ -391,8 +389,7 @@ def pauli_shadow_estimate(
     if config.snapshots < groups:
         raise ValueError(f"need at least {groups} snapshots for {groups} groups")
 
-    root = _seed_sequence(config.seed)
-    basis_seed, outcome_seed = root.spawn(2)
+    basis_seed, outcome_seed = _seed_sequence(config.seed).spawn(2)
     bases = np.random.default_rng(basis_seed).integers(0, 3, size=(config.snapshots, n))
     outcome_rng = np.random.default_rng(outcome_seed)
 
@@ -410,9 +407,7 @@ def pauli_shadow_estimate(
             elif basis_q == 1:
                 y_mask |= 1 << q
         rotated = _rotate_to_pauli_basis(psi0, x_mask, y_mask)
-        probs = rotated.probabilities()
-        probs = probs / probs.sum()
-        outcomes[mask] = outcome_rng.choice(probs.size, size=int(mask.sum()), p=probs)
+        outcomes[mask] = sample_indices(rotated, int(mask.sum()), outcome_rng)
 
     bits = index_bits(outcomes, range(n))
     estimates = np.zeros(config.snapshots)

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import COMPACT_BINARY, ONE_HOT, make_layout
+
 LOCAL_DIGITAL = "local-digital"
 GLOBAL_ANALOG = "global-analog"
 COMPILED_OPTIMIZED = "compiled-optimized"
 GATE_MODELS = (LOCAL_DIGITAL, GLOBAL_ANALOG, COMPILED_OPTIMIZED)
-
-SCHEME_ONE_HOT = "one-hot"
-SCHEME_COMPACT = "compact-binary"
 
 
 @dataclass(frozen=True)
@@ -50,29 +49,25 @@ def estimate(num_rows: int, num_features: int, n_bits: int, scheme: str,
     if gate_model not in GATE_MODELS:
         raise ValueError(f"unknown gate model {gate_model!r}")
     L, M = num_rows, num_features
-    cells = L * (M + 1)
-    n_l = max(1, int(np.ceil(np.log2(L))))
-    n_m = max(1, int(np.ceil(np.log2(M + 1))))
-    n_k = n_l + n_m
-
-    if scheme == SCHEME_ONE_HOT:
-        qubits = cells + 1
-        memory = 0
-        prep = cells  # one gadget per encoded cell
-        mapping = cells if gate_model == LOCAL_DIGITAL else M + 1
-    elif scheme == SCHEME_COMPACT:
-        memory = cells * n_bits if gate_model == LOCAL_DIGITAL else 0
-        qubits = n_k + 1 + memory
+    if scheme == ONE_HOT:
+        layout = make_layout(ONE_HOT, L, M)
+        prep = layout.num_cells  # one gadget per encoded cell
+        mapping = layout.num_cells if gate_model == LOCAL_DIGITAL else M + 1
+    elif scheme == COMPACT_BINARY:
+        layout = make_layout(COMPACT_BINARY, L, M, n_bits,
+                             with_memory=gate_model == LOCAL_DIGITAL)
         if gate_model == LOCAL_DIGITAL:
-            prep = L * M * n_bits * (1 << n_k)
+            prep = L * M * n_bits * (1 << layout.n_k)
         elif gate_model == GLOBAL_ANALOG:
             prep = L * L * M * M
         else:
             prep = L * M
-        mapping = (1 << n_m) * (M + 1)
+        mapping = (1 << layout.n_m) * (M + 1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
+    # data register, ancilla, and (local-digital compact only) the memory
+    qubits = layout.ancilla + 1 + layout.memory_qubit_count
     total = prep + mapping
     return ResourceEstimate(
         scheme=scheme,
@@ -81,7 +76,7 @@ def estimate(num_rows: int, num_features: int, n_bits: int, scheme: str,
         num_features=M,
         n_bits=n_bits,
         qubit_count=qubits,
-        memory_qubits=memory,
+        memory_qubits=layout.memory_qubit_count,
         state_prep_gates=prep,
         regression_map_gates=mapping,
         total_gates=total,
@@ -93,8 +88,8 @@ def shot_cost_ratio(num_rows: int, num_features: int, n_bits: int,
                     gate_model: str = GLOBAL_ANALOG) -> float:
     """Compact-over-one-hot shot-cost ratio at matched gate model; grows
     like ``log2(L*M)`` for tall tables."""
-    compact = estimate(num_rows, num_features, n_bits, SCHEME_COMPACT, gate_model)
-    one_hot = estimate(num_rows, num_features, n_bits, SCHEME_ONE_HOT, gate_model)
+    compact = estimate(num_rows, num_features, n_bits, COMPACT_BINARY, gate_model)
+    one_hot = estimate(num_rows, num_features, n_bits, ONE_HOT, gate_model)
     return compact.shot_cost / one_hot.shot_cost
 
 

@@ -15,9 +15,10 @@ Conventions used everywhere in this package:
   in the **full angle** convention (not ``theta/2``), so a controlled
   ``Ry(theta)`` followed by a CNOT maps ``|10>`` to
   ``cos(theta)|10> + sin(theta)|01>``.
-* Projections return the *unnormalized* post-measurement state together
-  with the outcome probability; renormalization is a separate, explicit
-  call.  Subnormalized states (norm <= 1) are therefore first-class.
+* Post-selection (:func:`postselect`) drops the measured qubit and returns
+  the *unnormalized* survivor over the remaining qubits together with the
+  outcome probability; renormalization is a separate, explicit call.
+  Subnormalized states (norm <= 1) are therefore first-class.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-#: Accepted single-qubit projection bases.
+#: Accepted single-qubit post-selection bases.
 PROJECTION_BASES = ("z0", "z1", "x+", "x-")
 
 
@@ -79,22 +80,12 @@ class DiagonalPhaseSpec:
     sign_qubit: int | None = None
 
 
-def zero_state(num_qubits: int) -> StateVector:
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
-
-
 def basis_state(num_qubits: int, index: int) -> StateVector:
     if not 0 <= index < (1 << num_qubits):
         raise IndexError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def from_amplitudes(num_qubits: int, amplitudes) -> StateVector:
-    return StateVector(num_qubits, np.asarray(amplitudes, dtype=np.complex128))
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -208,51 +199,32 @@ def apply_signed_phases(state: StateVector, indices, angles, sign_qubit: int) ->
     return StateVector(state.num_qubits, amps)
 
 
-def project_qubit(state: StateVector, target: int, basis: str) -> tuple[StateVector, float]:
-    """Project ``target`` onto one basis state and return the
-    **unnormalized** survivor together with its squared norm.
+def postselect(state: StateVector, target: int, basis: str) -> tuple[StateVector, float]:
+    """Measure ``target`` in ``basis``, keep the named outcome and drop the
+    qubit: returns the **unnormalized** survivor over the remaining qubits
+    together with its squared norm, the outcome probability.
 
-    ``basis`` is one of ``"z0"``, ``"z1"``, ``"x+"``, ``"x-"``; the X-basis
-    projectors are realized as Hadamard-conjugated Z projectors.
+    ``basis`` is one of ``"z0"``, ``"z1"``, ``"x+"``, ``"x-"``; an X-basis
+    outcome is read after one Hadamard on ``target``.
     """
     _check_qubit(state, target)
     if basis not in PROJECTION_BASES:
         raise ValueError(f"unknown projection basis {basis!r}")
-    work = state
     if basis in ("x+", "x-"):
-        work = apply_hadamard(work, target)
+        state = apply_hadamard(state, target)
     keep = 0 if basis in ("z0", "x+") else 1
-    amps = work.amplitudes.copy()
-    view = _paired_view(amps, state.num_qubits, target)
-    view[:, 1 - keep, :] = 0.0
-    projected = StateVector(state.num_qubits, amps)
-    if basis in ("x+", "x-"):
-        projected = apply_hadamard(projected, target)
-    return projected, projected.norm_squared
+    # a copy, so the survivor never shares memory with the input state
+    block = _paired_view(state.amplitudes, state.num_qubits, target)[:, keep, :].copy()
+    survivor = StateVector(state.num_qubits - 1, block.reshape(-1))
+    return survivor, survivor.norm_squared
 
 
-def extract_projected_qubit(state: StateVector, target: int, basis: str) -> StateVector:
-    """Drop a qubit that has just been projected onto ``basis``.
-
-    The input must be (proportional to) a product ``|b>_target (x) |phi>``;
-    the returned state is ``|phi>`` with the same norm as the input.
-    """
-    _check_qubit(state, target)
-    if basis not in PROJECTION_BASES:
-        raise ValueError(f"unknown projection basis {basis!r}")
-    work = state
-    if basis in ("x+", "x-"):
-        work = apply_hadamard(work, target)
-    keep = 0 if basis in ("z0", "x+") else 1
-    view = _paired_view(work.amplitudes, state.num_qubits, target)
-    block = view[:, keep, :].reshape(-1)
-    return StateVector(state.num_qubits - 1, block.copy())
-
-
-def sample_indices(state: StateVector, shots: int, rng_seed: int) -> np.ndarray:
+def sample_indices(state: StateVector, shots: int, rng_seed) -> np.ndarray:
     """Draw ``shots`` i.i.d. basis indices from ``|a_i|^2 / norm^2``.
 
-    Deterministic for a given seed (NumPy ``default_rng`` / PCG64).
+    ``rng_seed`` is anything ``np.random.default_rng`` accepts; a
+    ``Generator`` is drawn from in place.  Deterministic for a given seed
+    (PCG64).
     """
     if shots <= 0:
         raise ValueError("shots must be positive")

@@ -5,8 +5,8 @@ the nonlinear sin(x) regression demo.
 
 The optimizer variables are ``c_m = cos(phi_m)`` (unconstrained; the cost
 depends on the phases only through their cosines) with the response
-variable pinned at ``c_0 = -1`` unless explicitly freed.  Circuit and
-shot backends clamp the cosines into [-1, 1] before synthesizing angles.
+variable pinned at ``c_0 = -1``.  Circuit and shot backends clamp the
+cosines into [-1, 1] before synthesizing angles.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .data import (
     power_feature_table,
     standardize,
 )
-from .encoders import EXACT_INJECTION, ONE_HOT, prepare_exact
+from .encoders import ONE_HOT, prepare_exact
 from .measurement import (
     exact_expectation,
     model_metrics,
@@ -43,6 +43,10 @@ from .measurement import (
 BACKEND_ANALYTIC = "analytic"
 BACKEND_CIRCUIT = "circuit"
 BACKEND_SHOTS = "shots"
+
+
+class ConvergenceFailure(RuntimeError):
+    """Training produced no usable model."""
 
 
 class NelderMeadError(RuntimeError):
@@ -69,26 +73,19 @@ def nelder_mead(
     x_tol: float = 1e-12,
     max_iterations: int = 2000,
     initial_scale: float = 0.5,
-    initial_simplex: np.ndarray | None = None,
 ) -> NelderMeadResult:
     """Downhill-simplex minimization with the standard coefficients
     (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
 
     Terminates when the simplex function spread drops below ``f_tol``, the
     coordinate spread drops below ``x_tol``, or ``max_iterations`` is hit.
-    Fully deterministic: the initial simplex is ``x0 + scale * e_i``
-    unless one is supplied.
+    Fully deterministic: the initial simplex is ``x0 + scale * e_i``.
     """
     x0 = np.asarray(initial_point, dtype=np.float64)
     dim = x0.size
-    if initial_simplex is not None:
-        simplex = np.array(initial_simplex, dtype=np.float64)
-        if simplex.shape != (dim + 1, dim):
-            raise ValueError("initial_simplex must have shape (dim+1, dim)")
-    else:
-        simplex = np.tile(x0, (dim + 1, 1))
-        for i in range(dim):
-            simplex[i + 1, i] += initial_scale
+    simplex = np.tile(x0, (dim + 1, 1))
+    for i in range(dim):
+        simplex[i + 1, i] += initial_scale
 
     evaluations = 0
 
@@ -161,7 +158,6 @@ class RegularizationParams:
 @dataclass(frozen=True)
 class TrainConfig:
     cost_backend: str = BACKEND_ANALYTIC
-    scheme: str = EXACT_INJECTION
     shots: int = 4096
     readout_delta: float = 0.0
     estimator: str = "compact"
@@ -169,7 +165,6 @@ class TrainConfig:
     nm_tolerance_f: float = 1e-13
     nm_tolerance_x: float = 1e-13
     max_iterations_per_restart: int | None = None
-    fix_c0_to_minus_one: bool = True
     initial_weights: np.ndarray | None = None
     initial_simplex_scale: float = 0.5
     seed: int = 0
@@ -217,7 +212,7 @@ def _make_backend(std: StandardizedTable, config: TrainConfig):
 
         return cost
     if config.cost_backend == BACKEND_CIRCUIT:
-        prep = prepare_exact(std, config.scheme)
+        prep = prepare_exact(std)
 
         def cost(c):
             psi0, _ = apply_regression_map(prep, phases_from_cosines(c))
@@ -229,7 +224,7 @@ def _make_backend(std: StandardizedTable, config: TrainConfig):
             prep = prepare_exact(std, ONE_HOT)
             estimator = shot_estimate_one_hot
         else:
-            prep = prepare_exact(std, config.scheme)
+            prep = prepare_exact(std)
             estimator = shot_estimate_compact
         counter = [0]
 
@@ -254,16 +249,12 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
     m_feats = std.num_features
     backend = _make_backend(std, config)
 
-    fixed = config.fix_c0_to_minus_one
-    dim = m_feats if fixed else m_feats + 1
     buffer = np.empty(m_feats + 1)
     buffer[0] = -1.0
 
     def assemble(x):
-        if fixed:
-            buffer[1:] = x
-            return buffer
-        return x
+        buffer[1:] = x
+        return buffer
 
     use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
 
@@ -277,16 +268,15 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
             value += reg.alpha_l1 * np.sum(np.abs(w)) + reg.beta_l2 * np.sum(w**2)
         return value
 
+    # W = -c_m / c_0 with c_0 = -1 makes the start simply c = W
     if config.initial_weights is not None:
-        w0 = np.asarray(config.initial_weights, dtype=np.float64)
-        if w0.size != m_feats:
+        x0 = np.asarray(config.initial_weights, dtype=np.float64)
+        if x0.size != m_feats:
             raise ValueError("initial_weights length must equal the feature count")
     else:
-        w0 = np.zeros(m_feats)
-    # W = -c_m / c_0 with c_0 = -1 makes the start simply c = W
-    x0 = w0 if fixed else np.concatenate([[-1.0], w0])
+        x0 = np.zeros(m_feats)
 
-    max_iter = config.max_iterations_per_restart or 400 * dim
+    max_iter = config.max_iterations_per_restart or 400 * m_feats
     scale = config.initial_simplex_scale
     total_evals = 0
     result = nelder_mead(objective, x0, config.nm_tolerance_f, config.nm_tolerance_x,
@@ -389,7 +379,9 @@ def fit_ensemble(
     ok = ~np.isnan(weights).any(axis=1)
     good = weights[ok]
     if good.shape[0] == 0:
-        raise RuntimeError("every bootstrap batch failed to train")
+        b, err = failures[0]
+        raise ConvergenceFailure(
+            f"every bootstrap batch failed to train; the first, batch {b}, failed with {err}")
     mean = good.mean(axis=0)
     if good.shape[0] > 1:
         std_err = good.std(axis=0, ddof=1)

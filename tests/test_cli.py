@@ -127,3 +127,16 @@ def test_bad_csv_exit_code(tmp_path):
 def test_missing_input_is_io_error(tmp_path):
     assert run("fit", "--input", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "o.json")) == 4
+
+
+def test_ensemble_with_every_batch_failing_exits_cleanly(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("y,x1\n1,2\n2,2\n3,2\n4,2\n")  # x1 has no variance in any batch
+    out = tmp_path / "ensemble.json"
+    code = run("ensemble", "--input", str(flat), "--batches", "4", "--batch-size", "3",
+               "--out", str(out))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: every bootstrap batch failed to train")
+    assert "batch 0" in err and "ZeroVarianceColumnError" in err
+    assert not out.exists()

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from vqreg.encoders import COMPACT_BINARY, ONE_HOT
 from vqreg.resources import (
     COMPILED_OPTIMIZED,
     GATE_MODELS,
     GLOBAL_ANALOG,
     LOCAL_DIGITAL,
-    SCHEME_COMPACT,
-    SCHEME_ONE_HOT,
     classical_reference_cost,
     estimate,
     shot_cost_ratio,
@@ -16,16 +15,16 @@ from vqreg.resources import (
 
 
 def test_qubit_count_examples():
-    assert estimate(4, 3, 8, SCHEME_ONE_HOT, GLOBAL_ANALOG).qubit_count == 17
-    assert estimate(4, 3, 8, SCHEME_COMPACT, GLOBAL_ANALOG).qubit_count == 5
+    assert estimate(4, 3, 8, ONE_HOT, GLOBAL_ANALOG).qubit_count == 17
+    assert estimate(4, 3, 8, COMPACT_BINARY, GLOBAL_ANALOG).qubit_count == 5
     # the memory-driven digital route also counts the K*N_P memory qubits
-    with_mem = estimate(4, 3, 8, SCHEME_COMPACT, LOCAL_DIGITAL)
+    with_mem = estimate(4, 3, 8, COMPACT_BINARY, LOCAL_DIGITAL)
     assert with_mem.memory_qubits == 4 * 4 * 8
     assert with_mem.qubit_count == 5 + 128
 
 
 def test_shot_cost_is_gate_qubit_product():
-    for scheme in (SCHEME_ONE_HOT, SCHEME_COMPACT):
+    for scheme in (ONE_HOT, COMPACT_BINARY):
         for model in GATE_MODELS:
             est = estimate(8, 3, 6, scheme, model)
             assert est.shot_cost == est.total_gates * est.qubit_count
@@ -34,7 +33,7 @@ def test_shot_cost_is_gate_qubit_product():
 
 
 def test_counts_monotone_in_dimensions():
-    for scheme in (SCHEME_ONE_HOT, SCHEME_COMPACT):
+    for scheme in (ONE_HOT, COMPACT_BINARY):
         for model in GATE_MODELS:
             base = estimate(16, 4, 6, scheme, model)
             assert estimate(32, 4, 6, scheme, model).total_gates >= base.total_gates
@@ -48,14 +47,14 @@ def test_global_analog_never_worse_than_local_digital():
         L = int(rng.integers(2, 1 << 10))
         M = int(rng.integers(1, 32))
         bits = int(rng.integers(1, 12))
-        for scheme in (SCHEME_ONE_HOT, SCHEME_COMPACT):
+        for scheme in (ONE_HOT, COMPACT_BINARY):
             analog = estimate(L, M, bits, scheme, GLOBAL_ANALOG)
             digital = estimate(L, M, bits, scheme, LOCAL_DIGITAL)
             assert analog.total_gates <= digital.total_gates
 
 
 def test_compiled_route_is_linear_in_table_size():
-    est = estimate(64, 6, 8, SCHEME_COMPACT, COMPILED_OPTIMIZED)
+    est = estimate(64, 6, 8, COMPACT_BINARY, COMPILED_OPTIMIZED)
     assert est.state_prep_gates == 64 * 6
 
 
@@ -74,8 +73,8 @@ def test_shot_cost_ratio_grows_logarithmically():
 def test_classical_reference_and_validation():
     assert classical_reference_cost(10, 3) == 100 * 27
     with pytest.raises(ValueError):
-        estimate(0, 3, 8, SCHEME_ONE_HOT, GLOBAL_ANALOG)
+        estimate(0, 3, 8, ONE_HOT, GLOBAL_ANALOG)
     with pytest.raises(ValueError):
-        estimate(4, 3, 8, SCHEME_ONE_HOT, "pulse-level")
+        estimate(4, 3, 8, ONE_HOT, "pulse-level")
     with pytest.raises(ValueError):
         estimate(4, 3, 8, "ternary", GLOBAL_ANALOG)

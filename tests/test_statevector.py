@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqreg.statevector import (
     DiagonalPhaseSpec,
@@ -11,25 +12,23 @@ from vqreg.statevector import (
     apply_hadamard,
     apply_ry,
     basis_state,
-    from_amplitudes,
     index_bits,
-    project_qubit,
+    postselect,
     sample_bitstrings,
     sample_indices,
-    zero_state,
 )
 
 
 def random_state(num_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return from_amplitudes(num_qubits, amps / np.linalg.norm(amps))
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
 def test_ry_identity_and_quarter_turn():
-    s = apply_ry(zero_state(1), 0, 0.0)
+    s = apply_ry(basis_state(1, 0), 0, 0.0)
     np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-15)
-    s = apply_ry(zero_state(1), 0, np.pi / 2)
+    s = apply_ry(basis_state(1, 0), 0, np.pi / 2)
     np.testing.assert_allclose(s.amplitudes, [0, 1], atol=1e-15)
 
 
@@ -61,7 +60,7 @@ def test_diagonal_phase_zero_angle_is_identity():
 
 
 def test_diagonal_phase_single_control():
-    s = from_amplitudes(1, [0.6, 0.8])
+    s = StateVector(1, [0.6, 0.8])
     out = apply_controlled_diagonal_phase(s, DiagonalPhaseSpec(((0, 1),), 0.9))
     np.testing.assert_allclose(out.amplitudes, [0.6, 0.8 * np.exp(1j * 0.9)])
 
@@ -80,7 +79,7 @@ def test_diagonal_phase_sign_qubit_enumeration():
 
 
 def test_hadamard_definition_and_involution():
-    h = apply_hadamard(zero_state(1), 0)
+    h = apply_hadamard(basis_state(1, 0), 0)
     np.testing.assert_allclose(h.amplitudes, [1 / np.sqrt(2)] * 2)
     s = random_state(3, 3)
     back = apply_hadamard(apply_hadamard(s, 1), 1)
@@ -92,39 +91,75 @@ def test_cnot_definition():
     np.testing.assert_allclose(out.amplitudes, basis_state(2, 3).amplitudes)
 
 
-def test_projection_examples():
-    plus = apply_hadamard(zero_state(1), 0)
-    proj, p = project_qubit(plus, 0, "z0")
-    assert abs(p - 0.5) < 1e-12
-    np.testing.assert_allclose(proj.amplitudes, [1 / np.sqrt(2), 0])
+#: the kept outcome of each post-selection basis as a single-qubit vector
+OUTCOMES = {
+    "z0": np.array([1.0, 0.0]),
+    "z1": np.array([0.0, 1.0]),
+    "x+": np.array([1.0, 1.0]) / np.sqrt(2.0),
+    "x-": np.array([1.0, -1.0]) / np.sqrt(2.0),
+}
 
-    proj, p = project_qubit(zero_state(1), 0, "z1")
+
+def project_then_drop(state, target, basis):
+    """Oracle: the dense projector |b><b| on ``target``, then <b| on that
+    qubit to drop it from the (now product) state."""
+    b = OUTCOMES[basis]
+    n = state.num_qubits
+    projector = np.kron(np.kron(np.eye(1 << (n - 1 - target)), np.outer(b, b)),
+                        np.eye(1 << target))
+    projected = (projector @ state.amplitudes).reshape(1 << (n - 1 - target), 2, 1 << target)
+    return np.einsum("t,htl->hl", b, projected).reshape(-1), np.vdot(projected, projected).real
+
+
+def test_projection_examples():
+    plus = apply_hadamard(basis_state(1, 0), 0)
+    survivor, p = postselect(plus, 0, "z0")
+    assert abs(p - 0.5) < 1e-12
+    assert survivor.num_qubits == 0
+    np.testing.assert_allclose(survivor.amplitudes, [1 / np.sqrt(2)])
+
+    survivor, p = postselect(basis_state(1, 0), 0, "z1")
     assert p == 0.0
-    np.testing.assert_allclose(proj.amplitudes, [0, 0])
+    np.testing.assert_allclose(survivor.amplitudes, [0])
 
 
 def test_projection_completeness_and_idempotence():
     s = random_state(4, 4)
     for q in range(4):
-        _, p0 = project_qubit(s, q, "z0")
-        _, p1 = project_qubit(s, q, "z1")
-        assert abs(p0 + p1 - s.norm_squared) < 1e-12
-    once, p_once = project_qubit(s, 2, "x+")
-    twice, p_twice = project_qubit(once, 2, "x+")
-    np.testing.assert_allclose(twice.amplitudes, once.amplitudes, atol=1e-13)
-    assert abs(p_twice - p_once) < 1e-12
+        for keep, other in (("z0", "z1"), ("x+", "x-")):
+            _, p_keep = postselect(s, q, keep)
+            _, p_other = postselect(s, q, other)
+            assert abs(p_keep + p_other - s.norm_squared) < 1e-12
+    # a qubit already in the kept state comes off unchanged, with probability 1
+    phi = random_state(3, 12)
+    product = StateVector(4, np.kron(OUTCOMES["x+"], phi.amplitudes))  # qubit 3 is |+>
+    survivor, p = postselect(product, 3, "x+")
+    np.testing.assert_allclose(survivor.amplitudes, phi.amplitudes, atol=1e-13)
+    assert abs(p - 1.0) < 1e-12
 
 
 def test_x_basis_projection_oracle():
     s = random_state(2, 5)
-    proj, p = project_qubit(s, 0, "x-")
-    # oracle: apply the |-><-| projector matrix on qubit 0 directly
-    minus = np.array([1, -1]) / np.sqrt(2)
-    proj_mat = np.outer(minus, minus)
-    full = np.kron(np.eye(2), proj_mat)  # qubit 0 is the fast index
-    expected = full @ s.amplitudes
-    np.testing.assert_allclose(proj.amplitudes, expected, atol=1e-14)
+    survivor, p = postselect(s, 0, "x-")
+    # oracle: <-| on qubit 0, written out for two qubits (qubit 0 is the fast index)
+    a = s.amplitudes
+    expected = np.array([a[0] - a[1], a[2] - a[3]]) / np.sqrt(2)
+    np.testing.assert_allclose(survivor.amplitudes, expected, atol=1e-14)
     assert abs(p - np.linalg.norm(expected) ** 2) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_postselect_equals_projector_then_drop(num_qubits, data):
+    target = data.draw(st.integers(0, num_qubits - 1))
+    basis = data.draw(st.sampled_from(sorted(OUTCOMES)))
+    state = random_state(num_qubits, data.draw(st.integers(0, 2**32 - 1)))
+    survivor, p = postselect(state, target, basis)
+    expected, p_expected = project_then_drop(state, target, basis)
+    assert survivor.num_qubits == num_qubits - 1
+    np.testing.assert_allclose(survivor.amplitudes, expected, rtol=0, atol=1e-12)
+    assert abs(p - p_expected) < 1e-12
+    assert abs(p - survivor.norm_squared) == 0.0
 
 
 def test_unitarity_and_linearity():
@@ -144,7 +179,7 @@ def test_unitarity_and_linearity():
         assert abs(out.norm_squared - s.norm_squared) < 1e-12
     a, b = random_state(5, 8), random_state(5, 9)
     alpha, beta = 0.3 - 0.2j, 0.5 + 0.1j
-    mix = from_amplitudes(5, alpha * a.amplitudes + beta * b.amplitudes)
+    mix = StateVector(5, alpha * a.amplitudes + beta * b.amplitudes)
     for op in ops:
         lhs = op(mix).amplitudes
         rhs = alpha * op(a).amplitudes + beta * op(b).amplitudes
@@ -156,14 +191,14 @@ def test_sampling_contracts():
     strings = sample_bitstrings(basis_state(3, 0), 5, 1)
     assert strings == ["000"] * 5
     # Bernoulli 5 sigma on |+>
-    plus = apply_hadamard(zero_state(1), 0)
+    plus = apply_hadamard(basis_state(1, 0), 0)
     idx = sample_indices(plus, 10**5, 12)
     frac = idx.mean()
     assert abs(frac - 0.5) < 5 * np.sqrt(0.25 / 10**5)
     # seed determinism
     assert np.array_equal(sample_indices(plus, 100, 3), sample_indices(plus, 100, 3))
     with pytest.raises(ZeroNormError):
-        sample_indices(from_amplitudes(1, [0, 0]), 5, 0)
+        sample_indices(StateVector(1, [0, 0]), 5, 0)
 
 
 def test_bitstring_convention_and_index_bits():
@@ -174,7 +209,7 @@ def test_bitstring_convention_and_index_bits():
 
 
 def test_index_errors_and_validation():
-    s = zero_state(2)
+    s = basis_state(2, 0)
     with pytest.raises(IndexError):
         apply_ry(s, 2, 0.1)
     with pytest.raises(IndexError):
@@ -186,7 +221,7 @@ def test_index_errors_and_validation():
     with pytest.raises(ValueError):
         apply_controlled_diagonal_phase(s, DiagonalPhaseSpec(((0, 1),), 0.3, sign_qubit=0))
     with pytest.raises(ValueError):
-        project_qubit(s, 0, "y0")
+        postselect(s, 0, "y0")
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3, dtype=complex))
 
