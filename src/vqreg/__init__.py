@@ -30,7 +30,6 @@ from .data import (
 )
 from .encoders import (
     COMPACT_BINARY,
-    EXACT_INJECTION,
     ONE_HOT,
     EncodingLayout,
     PreparedState,
@@ -47,7 +46,6 @@ from .measurement import (
     ModelMetrics,
     ShadowConfig,
     ShotBudget,
-    circuit_cost,
     exact_expectation,
     model_metrics,
     operator_identity_check,

@@ -114,12 +114,7 @@ def apply_regression_map(prep: PreparedState, phases: PhaseVector) -> tuple[Stat
 
 def analytic_cost(std: StandardizedTable, phases: PhaseVector) -> float:
     """``sum_l (sum_m x_lm cos(phi_m))^2`` evaluated classically."""
-    return analytic_cost_from_cosines(std.values, phases.cosines())
-
-
-def analytic_cost_from_cosines(values: np.ndarray, cosines: np.ndarray) -> float:
-    r = values @ np.asarray(cosines, dtype=np.float64)
-    return float(r @ r)
+    return std.cost(phases.cosines())
 
 
 def analytic_gradient(std: StandardizedTable, phases: PhaseVector) -> np.ndarray:

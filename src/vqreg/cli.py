@@ -5,8 +5,9 @@ noise sweeps, shadow studies, and resource tables.
 Every run echoes its fully resolved configuration (including the seed)
 into the JSON output, and all outputs are byte-identical across re-runs
 with the same inputs.  Exit codes: 0 success, 2 usage, 3 malformed input
-data, 4 I/O failure, 5 training did not converge (including an ensemble
-whose every batch failed), 1 anything else.
+data (including a constant column in the table ``fit`` trains on), 4 I/O
+failure, 5 training did not converge (including an ensemble whose every
+batch failed), 1 anything else.
 """
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ import sys
 import numpy as np
 
 from . import resources
-from .circuit import DegeneratePhaseError
 from .data import (
     BootstrapPlan,
     RawTable,
     SyntheticSpec,
     TableFormatError,
+    ZeroVarianceColumnError,
     generate_linear_synthetic,
     load_csv,
     save_csv,
@@ -368,10 +369,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TableFormatError as exc:
+    except (TableFormatError, ZeroVarianceColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConvergenceFailure, NelderMeadError, DegeneratePhaseError) as exc:
+    except (ConvergenceFailure, NelderMeadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except OSError as exc:

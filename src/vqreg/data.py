@@ -94,6 +94,12 @@ class StandardizedTable:
         w = np.asarray(weights, dtype=np.float64)
         return w * self.column_scales[1:] / self.column_scales[0]
 
+    def cost(self, cosines: np.ndarray) -> float:
+        """The regression cost ``sum_l (sum_m x_lm c_m)^2`` at the column
+        cosines ``c_m = cos(phi_m)``."""
+        r = self.values @ cosines
+        return float(r @ r)
+
 
 def standardize(raw: RawTable, equalize_columns: bool = True) -> StandardizedTable:
     """Center each column; if ``equalize_columns``, rescale every column to
@@ -174,20 +180,6 @@ def digitize(std: StandardizedTable, n_bits: int) -> DigitizedTable:
         num_rows=std.num_rows,
         num_features=std.num_features,
     )
-
-
-def digitize_scalar(x: float, n_bits: int) -> tuple[np.ndarray, float]:
-    """Greedy signed-binary bits and decoded value for a single number."""
-    bits = np.zeros(n_bits, dtype=np.int64)
-    r = float(x)
-    val = 0.0
-    for j in range(n_bits):
-        w = 2.0 ** -(j + 1)
-        bits[j] = 1 if r < 0.0 else 0
-        term = -w if bits[j] else w
-        val += term
-        r -= term
-    return bits, val
 
 
 @dataclass(frozen=True)

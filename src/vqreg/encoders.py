@@ -4,9 +4,9 @@ Layouts
 -------
 * ``one-hot``: cell ``(l, m)`` owns qubit ``j = m + l*(M+1)``; the encoded
   state lives on the ``L*(M+1)`` one-hot basis states ``|1_j>``.
-* ``compact-binary`` / ``exact-injection``: the column index ``m`` occupies
-  qubits ``0 .. N_M-1`` and the row index ``l`` qubits ``N_M .. N_M+N_L-1``,
-  so cell ``(l, m)`` is the basis index ``m + (l << N_M)``.  Cells with
+* ``compact-binary``: the column index ``m`` occupies qubits
+  ``0 .. N_M-1`` and the row index ``l`` qubits ``N_M .. N_M+N_L-1``, so
+  cell ``(l, m)`` is the basis index ``m + (l << N_M)``.  Cells with
   ``l >= L`` or ``m > M`` are padding and always carry zero amplitude.
 
 Three preparation routes are provided: direct amplitude injection (the
@@ -38,7 +38,6 @@ from .statevector import (
 
 ONE_HOT = "one-hot"
 COMPACT_BINARY = "compact-binary"
-EXACT_INJECTION = "exact-injection"
 
 _MAX_SIM_QUBITS = 24
 
@@ -58,7 +57,7 @@ class EncodingLayout:
     memory_qubit_count: int = 0
 
     def __post_init__(self):
-        if self.scheme not in (ONE_HOT, COMPACT_BINARY, EXACT_INJECTION):
+        if self.scheme not in (ONE_HOT, COMPACT_BINARY):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
@@ -138,7 +137,7 @@ def _check_simulable(layout: EncodingLayout) -> None:
         )
 
 
-def prepare_exact(std: StandardizedTable, scheme: str = EXACT_INJECTION) -> PreparedState:
+def prepare_exact(std: StandardizedTable, scheme: str = COMPACT_BINARY) -> PreparedState:
     """Write the standardized table directly into the amplitudes (the
     circuit-free oracle path)."""
     layout = make_layout(scheme, std.num_rows, std.num_features)

@@ -20,18 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PhaseVector, apply_regression_map
+from .circuit import PhaseVector
 from .data import StandardizedTable
-from .encoders import ONE_HOT, EncodingLayout, PreparedState
+from .encoders import ONE_HOT, EncodingLayout
 from .statevector import StateVector, apply_hadamard, index_bits, sample_indices
 
-ESTIMATOR_EXACT = "exact"
 ESTIMATOR_COMPACT_X = "compact-x-basis"
 ESTIMATOR_ONE_HOT_GROUPED = "grouped-pauli"
 ESTIMATOR_SHADOWS = "pauli-shadows"
 
 VARIANCE_IDENTITY_PLUS_M = "identity-plus-m"
 VARIANCE_OPERATOR = "operator-derived"
+
+#: median-of-means failure probability of the shadow estimator
+SHADOW_FAILURE_PROB = 0.05
 
 
 class LayoutMismatchError(ValueError):
@@ -81,20 +83,17 @@ class ShadowConfig:
 
     ``locality`` is the observable support size (the column-register width
     for the compact cost operator); the shadow norm scales as
-    ``4**locality``.  Snapshots are split into ``ceil(2 ln(1/failure_prob))``
-    groups for median-of-means.
+    ``4**locality``.  Snapshots are split into
+    ``ceil(2 ln(1/SHADOW_FAILURE_PROB))`` groups for median-of-means.
     """
 
     snapshots: int
     locality: int
     seed: int = 0
-    failure_prob: float = 0.05
 
     def __post_init__(self):
         if self.snapshots < 1:
             raise ValueError("snapshots must be positive")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ValueError("failure_prob must be in (0, 1)")
 
     @property
     def shadow_norm_bound(self) -> float:
@@ -102,10 +101,10 @@ class ShadowConfig:
 
     @property
     def groups(self) -> int:
-        return max(1, int(np.ceil(2.0 * np.log(1.0 / self.failure_prob))))
+        return max(1, int(np.ceil(2.0 * np.log(1.0 / SHADOW_FAILURE_PROB))))
 
 
-def shadow_snapshot_budget(n_m: int, epsilon: float, calibration: float = 12.0) -> int:
+def shadow_snapshot_budget(n_m: int, epsilon: float) -> int:
     """Snapshot count ``ceil(c * ln(2**N_M) * 4**N_M / eps^2)``.
 
     The constant ``c = 12`` was calibrated so that the estimate lands
@@ -115,13 +114,7 @@ def shadow_snapshot_budget(n_m: int, epsilon: float, calibration: float = 12.0) 
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    return int(np.ceil(calibration * np.log(2.0**n_m) * 4.0**n_m / epsilon**2))
-
-
-def exact_cost_estimate(psi0: StateVector, layout: EncodingLayout) -> CostEstimate:
-    """Wrap the exact expectation as a :class:`CostEstimate` (zero shots,
-    zero standard error)."""
-    return CostEstimate(exact_expectation(psi0, layout), ESTIMATOR_EXACT, 0, 0.0)
+    return int(np.ceil(12.0 * np.log(2.0**n_m) * 4.0**n_m / epsilon**2))
 
 
 def code_amplitudes(psi0: StateVector, layout: EncodingLayout) -> np.ndarray:
@@ -148,12 +141,6 @@ def exact_expectation(psi0: StateVector, layout: EncodingLayout) -> float:
     amps = code_amplitudes(psi0, layout)
     row_sums = amps.sum(axis=1)
     return float(np.sum(np.abs(row_sums) ** 2))
-
-
-def circuit_cost(prep: PreparedState, phases: PhaseVector) -> float:
-    """Run the regression map on a prepared state and measure the cost."""
-    psi0, _ = apply_regression_map(prep, phases)
-    return exact_expectation(psi0, prep.layout)
 
 
 @dataclass(frozen=True)
@@ -347,21 +334,6 @@ def _seed_to_int(seed) -> int | None:
     return None
 
 
-def shadow_string_snapshot_estimates(bases: np.ndarray, bits: np.ndarray, qubits) -> np.ndarray:
-    """Per-snapshot inverse-channel estimates of one X-string supported on
-    ``qubits``, given per-qubit basis picks (0=X, 1=Y, 2=Z) and outcome
-    bits.  The empty string is the identity: exactly 1 per snapshot; a
-    supported string contributes ``3**|support|`` times the outcome signs
-    when every support qubit happened to be measured in X, else 0.
-    """
-    qs = list(qubits)
-    if not qs:
-        return np.ones(bases.shape[0])
-    match = np.all(bases[:, qs] == 0, axis=1)
-    signs = np.prod(1.0 - 2.0 * bits[:, qs], axis=1)
-    return match * (3.0 ** len(qs)) * signs
-
-
 def pauli_shadow_estimate(
     psi0: StateVector,
     layout: EncodingLayout,
@@ -375,8 +347,12 @@ def pauli_shadow_estimate(
     recovered.  Each snapshot measures every qubit in a uniformly random
     Pauli basis; the single-qubit inverse channel
     ``3 |outcome><outcome| - I`` turns the record into unbiased estimates
-    of the ``2**N_M`` X/I strings the operator expands into, combined by
-    median-of-means over ``config.groups`` groups.
+    of the ``2**N_M`` X/I strings the operator expands into.  A string
+    contributes ``3**|S|`` times its outcome signs when every qubit of its
+    support ``S`` was measured in X, so the sum over all strings is the
+    product ``prod_q (1 + 3 [basis_q = X] sign_q)`` over the column qubits.
+    Snapshot estimates are combined by median-of-means over
+    ``config.groups`` groups.
     """
     if layout.scheme == ONE_HOT:
         raise LayoutMismatchError("random-Pauli shadows are wired for the compact layout")
@@ -409,11 +385,8 @@ def pauli_shadow_estimate(
         rotated = _rotate_to_pauli_basis(psi0, x_mask, y_mask)
         outcomes[mask] = sample_indices(rotated, int(mask.sum()), outcome_rng)
 
-    bits = index_bits(outcomes, range(n))
-    estimates = np.zeros(config.snapshots)
-    for s_mask in range(1 << layout.n_m):
-        qs = [q for q in range(layout.n_m) if (s_mask >> q) & 1]
-        estimates += shadow_string_snapshot_estimates(bases, bits, qs)
+    signs = 1.0 - 2.0 * index_bits(outcomes, range(layout.n_m))
+    estimates = np.prod(1.0 + 3.0 * (bases[:, :layout.n_m] == 0) * signs, axis=1)
 
     group_means = np.array([chunk.mean() for chunk in np.array_split(estimates, groups)])
     value = float(np.median(group_means)) * norm_squared

@@ -1,12 +1,14 @@
-"""Model training: Nelder-Mead over cosine variables with warm restarts,
-elastic-net penalties evaluated classically on the recovered weights,
-bootstrap-ensemble training with standard errors and t-statistics, and
-the nonlinear sin(x) regression demo.
+"""Model training: Nelder-Mead over the standardized weights with warm
+restarts, elastic-net penalties, bootstrap-ensemble training with standard
+errors and t-statistics, and the nonlinear sin(x) regression demo.
 
-The optimizer variables are ``c_m = cos(phi_m)`` (unconstrained; the cost
-depends on the phases only through their cosines) with the response
-variable pinned at ``c_0 = -1``.  Circuit and shot backends clamp the
-cosines into [-1, 1] before synthesizing angles.
+The cost depends on the phases only through their cosines ``c_m =
+cos(phi_m)``, and the response cosine is pinned at ``c_0 = -1``.  The
+readout ``W_m = -c_m / c_0`` is then ``c_m`` itself, so the optimizer
+point *is* the standardized weight vector: the backends see
+``(-1, W_1, ..., W_M)`` and the penalties act on ``W`` directly.  Circuit
+and shot backends clamp the cosines into [-1, 1] before synthesizing
+angles.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import (
-    DegeneratePhaseError,
     PhaseVector,
     WeightVector,
     apply_regression_map,
@@ -29,6 +30,7 @@ from .data import (
     StandardizedTable,
     ZeroVarianceColumnError,
     bootstrap_batch,
+    build_power_features,
     power_feature_table,
     standardize,
 )
@@ -144,7 +146,7 @@ def nelder_mead(
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Elastic-net penalties on the recovered weights (not the phases):
+    """Elastic-net penalties on the standardized weights (not the phases):
     ``alpha_l1 * sum|W| + beta_l2 * sum W^2``."""
 
     alpha_l1: float = 0.0
@@ -174,7 +176,6 @@ class TrainConfig:
 class FitResult:
     weights: WeightVector
     phases: PhaseVector
-    cosines: np.ndarray
     cost: float
     r_squared: float
     restarts_used: int
@@ -204,13 +205,7 @@ class EnsembleResult:
 def _make_backend(std: StandardizedTable, config: TrainConfig):
     """Cost-of-cosines callable for the configured backend."""
     if config.cost_backend == BACKEND_ANALYTIC:
-        values = std.values
-
-        def cost(c):
-            r = values @ c
-            return float(r @ r)
-
-        return cost
+        return std.cost
     if config.cost_backend == BACKEND_CIRCUIT:
         prep = prepare_exact(std)
 
@@ -241,8 +236,8 @@ def _make_backend(std: StandardizedTable, config: TrainConfig):
 
 def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
         config: TrainConfig | None = None) -> FitResult:
-    """Minimize backend cost plus elastic-net penalty over the cosine
-    variables, with warm restarts that halve the simplex scale until two
+    """Minimize backend cost plus elastic-net penalty over the standardized
+    weights, with warm restarts that halve the simplex scale until two
     consecutive restart optima agree to ``nm_tolerance_f``."""
     reg = reg or RegularizationParams()
     config = config or TrainConfig()
@@ -259,16 +254,11 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
     use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
 
     def objective(x):
-        c = assemble(x)
-        value = backend(c)
+        value = backend(assemble(x))
         if use_penalty:
-            if abs(c[0]) < 1e-12:
-                return np.inf
-            w = -c[1:] / c[0]
-            value += reg.alpha_l1 * np.sum(np.abs(w)) + reg.beta_l2 * np.sum(w**2)
+            value += reg.alpha_l1 * np.sum(np.abs(x)) + reg.beta_l2 * np.sum(x**2)
         return value
 
-    # W = -c_m / c_0 with c_0 = -1 makes the start simply c = W
     if config.initial_weights is not None:
         x0 = np.asarray(config.initial_weights, dtype=np.float64)
         if x0.size != m_feats:
@@ -297,17 +287,13 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
             converged = True
             break
 
-    cosines = np.array(assemble(result.point), dtype=np.float64)
-    if abs(cosines[0]) <= 1e-9:
-        raise DegeneratePhaseError("training ended with cos(phi_0) ~ 0")
+    cosines = assemble(result.point)
     phases = phases_from_cosines(cosines)
-    weights = WeightVector(-cosines[1:] / cosines[0])
     cost_value = backend(cosines)
     metrics = model_metrics(cost_value, std, phases)
     return FitResult(
-        weights=weights,
+        weights=WeightVector(result.point),
         phases=phases,
-        cosines=cosines,
         cost=cost_value,
         r_squared=metrics.r_squared,
         restarts_used=restarts,
@@ -326,15 +312,17 @@ def fit_raw_table(raw: RawTable, reg: RegularizationParams | None = None,
 
 
 def _ensemble_worker(args):
-    (raw, plan, batch_index, reg, config, equalize) = args
+    """Fit batch ``batch_index``; returns ``(raw_weights, None)`` or
+    ``(None, failure message)``."""
+    (raw, plan, batch_index, reg, config) = args
     batch = bootstrap_batch(raw, plan, batch_index)
     batch_seed = int(np.random.SeedSequence([config.seed, batch_index]).generate_state(1)[0])
     batch_config = replace(config, seed=batch_seed)
     try:
-        _, raw_weights = fit_raw_table(batch, reg, batch_config, equalize)
-    except (ZeroVarianceColumnError, DegeneratePhaseError, NelderMeadError) as exc:
-        return batch_index, None, f"{type(exc).__name__}: {exc}"
-    return batch_index, raw_weights, None
+        _, raw_weights = fit_raw_table(batch, reg, batch_config)
+    except (ZeroVarianceColumnError, NelderMeadError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return raw_weights, None
 
 
 def fit_ensemble(
@@ -343,7 +331,6 @@ def fit_ensemble(
     reg: RegularizationParams | None = None,
     config: TrainConfig | None = None,
     jobs: int | None = None,
-    equalize_columns: bool = True,
 ) -> EnsembleResult:
     """Standardize-and-fit every bootstrap batch independently and pool
     the recovered raw-space weights.
@@ -356,32 +343,25 @@ def fit_ensemble(
     """
     reg = reg or RegularizationParams()
     config = config or TrainConfig()
-    args = [(raw, plan, b, reg, config, equalize_columns) for b in range(plan.num_batches)]
-    weights = np.full((plan.num_batches, raw.num_features), np.nan)
-    failures = []
+    args = [(raw, plan, b, reg, config) for b in range(plan.num_batches)]
     if jobs and jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, plan.num_batches // (jobs * 8))
-            results = pool.map(_ensemble_worker, args, chunksize=chunk)
-            for b, w, err in results:
-                if w is None:
-                    failures.append((b, err))
-                else:
-                    weights[b] = w
+            results = list(pool.map(_ensemble_worker, args, chunksize=chunk))
     else:
-        for a in args:
-            b, w, err = _ensemble_worker(a)
-            if w is None:
-                failures.append((b, err))
-            else:
-                weights[b] = w
+        results = map(_ensemble_worker, args)
+    good, failures = [], []
+    for b, (w, err) in enumerate(results):
+        if w is None:
+            failures.append((b, err))
+        else:
+            good.append(w)
 
-    ok = ~np.isnan(weights).any(axis=1)
-    good = weights[ok]
-    if good.shape[0] == 0:
+    if not good:
         b, err = failures[0]
         raise ConvergenceFailure(
             f"every bootstrap batch failed to train; the first, batch {b}, failed with {err}")
+    good = np.array(good)
     mean = good.mean(axis=0)
     if good.shape[0] > 1:
         std_err = good.std(axis=0, ddof=1)
@@ -404,16 +384,9 @@ def fit_ensemble(
 class SinDemoResult:
     fit: FitResult
     raw_weights: np.ndarray
-    response_mean: float
-    feature_means: np.ndarray
     grid_x: np.ndarray
     predictions: np.ndarray
     truth: np.ndarray
-
-    def predict(self, x) -> np.ndarray:
-        powers = np.power(np.asarray(x, dtype=np.float64)[..., None],
-                          np.arange(1, self.raw_weights.size + 1))
-        return self.response_mean + (powers - self.feature_means) @ self.raw_weights
 
 
 def sin_ansatz_weights(max_power: int) -> np.ndarray:
@@ -460,13 +433,11 @@ def fit_nonlinear_sin_demo(
     grid = np.linspace(-1.0, 1.0, grid_points)
     response_mean = float(table.values[:, 0].mean())
     feature_means = table.values[:, 1:].mean(axis=0)
-    powers = np.power(grid[:, None], np.arange(1, max_power + 1))
+    powers = build_power_features(grid, max_power)
     predictions = response_mean + (powers - feature_means) @ raw_weights
     return SinDemoResult(
         fit=result,
         raw_weights=raw_weights,
-        response_mean=response_mean,
-        feature_means=feature_means,
         grid_x=grid,
         predictions=predictions,
         truth=np.sin(grid),

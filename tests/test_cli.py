@@ -140,3 +140,12 @@ def test_ensemble_with_every_batch_failing_exits_cleanly(tmp_path, capsys):
     assert err.startswith("error: every bootstrap batch failed to train")
     assert "batch 0" in err and "ZeroVarianceColumnError" in err
     assert not out.exists()
+
+
+def test_fit_on_a_constant_column_is_a_data_error(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("y,x1\n1,2\n2,2\n3,2\n4,2\n")
+    out = tmp_path / "fit.json"
+    assert run("fit", "--input", str(flat), "--out", str(out)) == 3
+    assert "column 1 has zero variance" in capsys.readouterr().err
+    assert not out.exists()

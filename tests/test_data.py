@@ -14,7 +14,6 @@ from vqreg.data import (
     bootstrap_indices,
     build_power_features,
     digitize,
-    digitize_scalar,
     generate_linear_synthetic,
     load_csv,
     load_results_json,
@@ -22,6 +21,7 @@ from vqreg.data import (
     save_results_json,
     standardize,
 )
+from tests.test_encoders import table_from_values
 
 
 def least_squares_weights(values):
@@ -71,11 +71,17 @@ def test_standardize_idempotent_on_own_output():
     np.testing.assert_allclose(again.values, unequalized.values, atol=1e-10)
 
 
+def digitize_column(xs, n_bits):
+    """Bits and decoded values of ``xs``, digitized as a one-column table."""
+    dig = digitize(table_from_values(np.reshape(xs, (-1, 1))), n_bits)
+    return dig.bits, dig.x_tilde
+
+
 def test_digitize_examples():
-    bits, val = digitize_scalar(0.5, 1)
-    assert list(bits) == [0] and val == 0.5
-    bits, val = digitize_scalar(0.0, 2)
-    assert val == 0.25  # +1/2 - 1/4; bound holds with equality
+    bits, val = digitize_column([0.5], 1)
+    assert bits.tolist() == [[0]] and val.tolist() == [0.5]
+    bits, val = digitize_column([0.0], 2)
+    assert val.tolist() == [0.25]  # +1/2 - 1/4; bound holds with equality
 
     # oracle: exhaustive search over all 4-bit signed expansions
     target = -0.8125
@@ -84,15 +90,15 @@ def test_digitize_examples():
         (abs(sum(w * (1 - 2 * ((code >> j) & 1)) for j, w in enumerate(weights)) - target), code)
         for code in range(16)
     )
-    bits, val = digitize_scalar(target, 4)
-    achieved = abs(val - target)
+    bits, val = digitize_column([target], 4)
+    achieved = abs(val[0] - target)
     assert achieved <= best[0] + 1e-15
 
 
 def test_digitize_error_bound_grid_and_random():
     for n_bits in (1, 2, 4, 8):
         xs = np.arange(-1.0, 1.0, 1e-3)
-        vals = np.array([digitize_scalar(x, n_bits)[1] for x in xs])
+        vals = digitize_column(xs, n_bits)[1]
         assert np.max(np.abs(vals - xs)) <= 2.0**-n_bits + 1e-12
     rng = np.random.default_rng(3)
     std = standardize(RawTable(rng.uniform(-1, 1, (500, 3))))

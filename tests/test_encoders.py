@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vqreg.circuit import PhaseVector
+from vqreg.circuit import PhaseVector, apply_regression_map
 from vqreg.data import DigitizedTable, RawTable, digitize, standardize
 from vqreg.encoders import (
     COMPACT_BINARY,
@@ -18,7 +18,7 @@ from vqreg.encoders import (
     success_probability_approximations,
 )
 from vqreg.data import StandardizedTable
-from vqreg.measurement import circuit_cost
+from vqreg.measurement import exact_expectation
 
 
 def table_from_values(values):
@@ -40,6 +40,12 @@ def table_from_values(values):
 def random_std(num_rows, num_features, seed):
     rng = np.random.default_rng(seed)
     return standardize(RawTable(rng.uniform(-1, 1, (num_rows, num_features + 1))))
+
+
+def map_and_measure(prep, phases):
+    """Run the regression map on a prepared state and measure the cost."""
+    psi0, _ = apply_regression_map(prep, phases)
+    return exact_expectation(psi0, prep.layout)
 
 
 def make_digitized(x_tilde, num_rows, num_features, n_bits=4):
@@ -199,9 +205,9 @@ def test_scheme_equivalence_downstream_cost():
         std = random_std(L, M, int(rng.integers(0, 1 << 30)))
         phases = PhaseVector(rng.uniform(0, 2 * np.pi, M + 1))
         costs = [
-            circuit_cost(prepare_exact(std, ONE_HOT), phases),
-            circuit_cost(prepare_exact(std, COMPACT_BINARY), phases),
-            circuit_cost(prepare_one_hot_chain(std), phases),
+            map_and_measure(prepare_exact(std, ONE_HOT), phases),
+            map_and_measure(prepare_exact(std, COMPACT_BINARY), phases),
+            map_and_measure(prepare_one_hot_chain(std), phases),
         ]
         assert max(costs) - min(costs) < 1e-9
 
@@ -209,17 +215,17 @@ def test_scheme_equivalence_downstream_cost():
 def test_digitization_error_propagation():
     std = random_std(4, 3, 8)
     phases = PhaseVector(np.array([np.pi, 0.4, 1.2, 2.2]))
-    exact = circuit_cost(prepare_exact(std, COMPACT_BINARY), phases)
+    exact = map_and_measure(prepare_exact(std, COMPACT_BINARY), phases)
     max_cube = np.max(np.abs(std.values)) ** 3 / 6.0
     errors = {}
     for n_bits in (2, 4, 8, 12):
         prep = memory_free_compact(digitize(std, n_bits)).normalized()
-        errors[n_bits] = abs(circuit_cost(prep, phases) - exact)
+        errors[n_bits] = abs(map_and_measure(prep, phases) - exact)
         assert errors[n_bits] <= 5.0 * (2.0**-n_bits + max_cube)
     assert errors[12] <= errors[2] + 1e-12
     # infinite-precision limit: only the sin() distortion remains
     prep_inf = compact_from_exact_values(std).normalized()
-    assert abs(circuit_cost(prep_inf, phases) - exact) <= 5.0 * max_cube
+    assert abs(map_and_measure(prep_inf, phases) - exact) <= 5.0 * max_cube
 
 
 def test_memory_qubit_budget_guard():

@@ -6,12 +6,10 @@ from vqreg.circuit import PhaseVector, apply_regression_map, regression_map_stat
 from vqreg.data import RawTable, standardize
 from vqreg.encoders import COMPACT_BINARY, ONE_HOT, make_layout, prepare_exact
 from vqreg.measurement import (
-    ESTIMATOR_EXACT,
     LayoutMismatchError,
     ShadowConfig,
     VARIANCE_OPERATOR,
     VARIANCE_IDENTITY_PLUS_M,
-    exact_cost_estimate,
     exact_expectation,
     measured_qubit_count,
     model_metrics,
@@ -20,7 +18,6 @@ from vqreg.measurement import (
     readout_attenuation,
     required_shots,
     shadow_snapshot_budget,
-    shadow_string_snapshot_estimates,
     shot_estimate_compact,
     shot_estimate_one_hot,
     variance_operator_derived,
@@ -78,13 +75,6 @@ def test_exact_expectation_layout_errors():
     amps[3] = 1.0
     with pytest.raises(LayoutMismatchError):
         exact_expectation(StateVector(4, amps), layout)
-
-
-def test_exact_cost_estimate_contract():
-    layout = make_layout(ONE_HOT, 2, 1)
-    est = exact_cost_estimate(one_hot_state([0.5, 0.0, 0.5, 0.0]), layout)
-    assert est.estimator == ESTIMATOR_EXACT
-    assert est.shots == 0 and est.std_error == 0.0
 
 
 def test_operator_identity_examples():
@@ -198,11 +188,15 @@ def test_estimates_are_pinned_for_a_fixed_seed():
     est = pauli_shadow_estimate(prep.state, prep.layout, ShadowConfig(600, 2, seed=19))
     assert pinned(est) == "(0.775, 0.23320591759215717)"
 
+    # shadows at the narrowest and a wider column register (N_M = 1 and 3)
+    prep = prepare_exact(random_std(3, 1, 24), COMPACT_BINARY)
+    est = pauli_shadow_estimate(prep.state, prep.layout, ShadowConfig(500, 1, seed=20))
+    assert pinned(est) == "(2.0481927710843375, 0.046287487310857606)"
 
-def test_shadow_identity_string_is_exactly_one():
-    bases = np.random.default_rng(0).integers(0, 3, size=(50, 3))
-    bits = np.random.default_rng(1).integers(0, 2, size=(50, 3))
-    np.testing.assert_array_equal(shadow_string_snapshot_estimates(bases, bits, []), 1.0)
+    prep = prepare_exact(random_std(3, 5, 25), COMPACT_BINARY)
+    assert prep.layout.n_m == 3
+    est = pauli_shadow_estimate(prep.state, prep.layout, ShadowConfig(900, 3, seed=21))
+    assert pinned(est) == "(0.9199999999999999, 0.2188911449404323)"
 
 
 def test_shadow_estimator_unbiased():
@@ -257,7 +251,7 @@ def test_shadow_validation():
         pauli_shadow_estimate(psi, make_layout(ONE_HOT, 2, 1),
                               ShadowConfig(snapshots=100, locality=1))
     assert ShadowConfig(snapshots=100, locality=2).shadow_norm_bound == 16.0
-    assert ShadowConfig(snapshots=100, locality=1, failure_prob=0.05).groups == 6
+    assert ShadowConfig(snapshots=100, locality=1).groups == 6
     assert shadow_snapshot_budget(1, 0.25) == int(np.ceil(12 * np.log(2) * 4 / 0.0625))
 
 

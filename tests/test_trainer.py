@@ -102,6 +102,42 @@ def test_l1_penalty_monotone():
     assert all(totals[i + 1] <= totals[i] + 1e-6 for i in range(len(totals) - 1))
 
 
+def lasso_coordinate_descent(X, y, alpha, sweeps=20000):
+    """Minimize ``||y - X w||^2 + alpha * ||w||_1`` one coordinate at a time:
+    each update soft-thresholds ``x_j . r_j`` at ``alpha / 2``."""
+    w = np.zeros(X.shape[1])
+    col_sq = (X**2).sum(axis=0)
+    for _ in range(sweeps):
+        previous = w.copy()
+        for j in range(w.size):
+            rho = X[:, j] @ (y - X @ w + X[:, j] * w[j])
+            w[j] = np.sign(rho) * max(abs(rho) - alpha / 2.0, 0.0) / col_sq[j]
+        if np.max(np.abs(w - previous)) <= 1e-15:
+            break
+    return w
+
+
+def test_fit_matches_lasso_coordinate_descent():
+    rng = np.random.default_rng(12)
+    zeroed = 0
+    for _ in range(4):
+        std = standardize(RawTable(rng.uniform(-1, 1, (40, 4))))
+        y, X = std.values[:, 0], std.values[:, 1:]
+        for alpha in (1e-4, 1e-3, 1e-2, 5e-2):
+            oracle = lasso_coordinate_descent(X, y, alpha)
+            # the oracle itself satisfies the Lasso optimality conditions
+            grad = 2.0 * X.T @ (y - X @ oracle)
+            on = oracle != 0.0
+            np.testing.assert_allclose(grad[on], alpha * np.sign(oracle[on]), atol=1e-12)
+            assert np.all(np.abs(grad[~on]) <= alpha + 1e-12)
+            zeroed += int(np.sum(~on))
+            res = fit(std, RegularizationParams(alpha_l1=alpha),
+                      TrainConfig(max_restarts=5, nm_tolerance_f=1e-16,
+                                  max_iterations_per_restart=3000))
+            np.testing.assert_allclose(res.weights.weights, oracle, rtol=0, atol=1e-6)
+    assert zeroed > 0  # some cases sit on the L1 kink at zero
+
+
 def test_backend_equivalence_fixed_budget():
     # perfect-fit problem: both backends follow the same trajectory
     master = generate_linear_synthetic(SyntheticSpec(16, np.array([0.5, -0.3]), 0.0, 5))
