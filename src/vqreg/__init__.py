@@ -18,7 +18,7 @@ from .data import (
     RawTable,
     StandardizedTable,
     SyntheticSpec,
-    bootstrap_batches,
+    bootstrap_batch,
     build_power_features,
     digitize,
     generate_linear_synthetic,

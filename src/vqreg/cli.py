@@ -94,6 +94,15 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _warn_unconverged(results: list) -> None:
+    """One stderr line counting the pooled batches that did not converge."""
+    unconverged = sum(len(r.unconverged) for r in results)
+    if unconverged:
+        trained = sum(len(r.fits) for r in results)
+        print(f"warning: {unconverged} of {trained} trained bootstrap batches did not "
+              "converge; their weights are pooled anyway", file=sys.stderr)
+
+
 def cmd_generate(args) -> int:
     spec = SyntheticSpec(
         num_rows=args.rows,
@@ -114,7 +123,7 @@ def cmd_fit(args) -> int:
                                         equalize_columns=not args.no_equalize)
     if not result.converged:
         raise ConvergenceFailure(
-            f"fit did not converge within the restart budget (cost {result.cost:.3e})"
+            f"fit did not converge: {result.failure_reason} (cost {result.cost:.3e})"
         )
     payload = {
         "config_echo": _echo(args),
@@ -138,6 +147,7 @@ def cmd_ensemble(args) -> int:
                          rng_seed=args.seed)
     reg = RegularizationParams(alpha_l1=args.l1, beta_l2=args.l2)
     result = fit_ensemble(raw, plan, reg, _train_config(args), jobs=args.jobs)
+    _warn_unconverged([result])
     payload = {
         "config_echo": _echo(args),
         "weights": result.mean_weights,
@@ -182,7 +192,7 @@ def cmd_sin_demo(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    rows = []
+    rows, results = [], []
     for level_index, noise in enumerate(args.noise_levels):
         spec = SyntheticSpec(
             num_rows=args.rows,
@@ -195,6 +205,7 @@ def cmd_noise_sweep(args) -> int:
             plan = BootstrapPlan(args.batches, batch_size, rng_seed=args.seed)
             result = fit_ensemble(master, plan, RegularizationParams(),
                                   _train_config(args), jobs=args.jobs)
+            results.append(result)
             for i in range(master.num_features):
                 rows.append({
                     "noise": noise,
@@ -204,6 +215,7 @@ def cmd_noise_sweep(args) -> int:
                     "std_error": float(result.std_errors[i]),
                     "t_stat": float(result.t_stats[i]),
                 })
+    _warn_unconverged(results)
     payload = {"config_echo": _echo(args), "sweep": rows}
     save_results_json(args.out, payload)
     if args.table_csv:

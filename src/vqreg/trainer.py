@@ -9,6 +9,16 @@ point *is* the standardized weight vector: the backends see
 ``(-1, W_1, ..., W_M)`` and the penalties act on ``W`` directly.  Circuit
 and shot backends clamp the cosines into [-1, 1] before synthesizing
 angles.
+
+:func:`fit` trains one table with the scalar :func:`nelder_mead`.
+:func:`fit_ensemble` trains all bootstrap batches of an ensemble in one
+lockstep Nelder-Mead: the batches share their shape, so their simplices
+advance together as ``(B, M+1, M)`` arrays, each warm-restart stage runs
+only the batches whose restart optima have not yet agreed, and every
+batch's weights, evaluation count, restarts and convergence flag are bit
+for bit those of :func:`fit` on that batch.  ``jobs > 1`` splits the
+batches into ``jobs`` contiguous chunks, one lockstep run per process; the
+results do not depend on the split.
 """
 from __future__ import annotations
 
@@ -49,6 +59,9 @@ BACKEND_SHOTS = "shots"
 
 class ConvergenceFailure(RuntimeError):
     """Training produced no usable model."""
+
+
+NAN_OBJECTIVE = "objective returned NaN"
 
 
 class NelderMeadError(RuntimeError):
@@ -96,7 +109,7 @@ def nelder_mead(
         evaluations += 1
         v = float(objective(x))
         if np.isnan(v):
-            raise NelderMeadError("objective returned NaN", np.array(x))
+            raise NelderMeadError(NAN_OBJECTIVE, np.array(x))
         return v
 
     values = np.array([call(x) for x in simplex])
@@ -144,6 +157,112 @@ def nelder_mead(
                             iterations, evaluations, converged)
 
 
+def _lockstep_nelder_mead(objective, ids, x0, f_tol, x_tol, max_iterations, initial_scale):
+    """:func:`nelder_mead` on every row of ``x0`` at once, bit for bit.
+
+    Row ``i`` minimizes problem ``ids[i]``, with ``ids`` increasing.
+    ``objective(problems, points)`` returns the value at each ``(problem,
+    point)`` pair; it is asked only for the points scalar Nelder-Mead would
+    evaluate, each problem's in scalar order, and ``problems`` is increasing.
+    The simplices advance together as ``(rows, dim+1, dim)`` arrays: per-row
+    masks choose reflect, expand, contract or shrink, and a row retires when
+    its own stop test fires.  Returns ``(points, values, evaluations,
+    failed)``; a row whose objective returned NaN is failed, with NaN point
+    and value.
+    """
+    n, dim = x0.shape
+    points = np.full((n, dim), np.nan)
+    values = np.full(n, np.nan)
+    evaluations = np.zeros(n, dtype=np.int64)
+    failed = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    bad = np.zeros(n, dtype=bool)
+
+    def evaluate(rows, pts):
+        """Values at ``pts[i]`` for live row ``rows[i]``; a NaN marks the
+        row bad."""
+        v = objective(ids[live[rows]], pts)
+        evaluations[live[rows]] += 1
+        nan = np.isnan(v)
+        if nan.any():
+            bad[rows[nan]] = True
+        return v
+
+    def drop(gone, finished):
+        """Retire the rows of mask ``gone``: report the best vertex of
+        ``finished`` rows, fail the others."""
+        nonlocal live, s, f
+        rows = np.flatnonzero(gone)
+        if finished:
+            best = np.argmin(f[rows], axis=1)
+            points[live[rows]] = s[rows, best]
+            values[live[rows]] = f[rows, best]
+        else:
+            failed[live[rows]] = True
+        live, s, f = live[~gone], s[~gone], f[~gone]
+
+    s = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    diag = np.arange(dim)
+    s[:, diag + 1, diag] += initial_scale
+    f = np.stack([evaluate(live, s[:, j]) for j in range(dim + 1)], axis=1)
+    if bad.any():
+        drop(bad, False)
+    iterations = 0
+    while live.size and iterations < max_iterations:
+        every = np.arange(live.size)
+        order = np.argsort(f, axis=1, kind="stable")
+        f = f[every[:, None], order]
+        s = s[every[:, None], order]
+        stop = ((f[:, -1] - f[:, 0] <= f_tol)
+                | (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= x_tol))
+        if stop.any():
+            drop(stop, True)
+            if not live.size:
+                break
+            every = np.arange(live.size)
+        iterations += 1
+        bad = np.zeros(live.size, dtype=bool)
+
+        centroid = s[:, :-1].sum(axis=1) / dim
+        worst = s[:, -1]
+        new_x = centroid + (centroid - worst)
+        f_reflected = evaluate(every, new_x)
+        new_f = f_reflected.copy()
+
+        expand = np.flatnonzero(f_reflected < f[:, 0])
+        if expand.size:
+            expanded = centroid[expand] + 2.0 * (centroid[expand] - worst[expand])
+            f_expanded = evaluate(expand, expanded)
+            better = f_expanded < f_reflected[expand]
+            new_x[expand[better]] = expanded[better]
+            new_f[expand[better]] = f_expanded[better]
+
+        contract = np.flatnonzero(~(f_reflected < f[:, -2]) & ~bad)
+        step = every
+        if contract.size:
+            c, r, w = centroid[contract], new_x[contract], worst[contract]
+            outside = (f_reflected[contract] < f[contract, -1])[:, None]
+            contracted = np.where(outside, c + 0.5 * (r - c), c - 0.5 * (c - w))
+            f_contracted = evaluate(contract, contracted)
+            accepted = f_contracted < np.minimum(f_reflected[contract], f[contract, -1])
+            new_x[contract[accepted]] = contracted[accepted]
+            new_f[contract[accepted]] = f_contracted[accepted]
+            shrink = contract[~accepted & ~bad[contract]]
+            if shrink.size:
+                step = np.setdiff1d(every, shrink, assume_unique=True)
+                best = s[shrink, :1]
+                s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
+                for j in range(1, dim + 1):
+                    f[shrink, j] = evaluate(shrink, s[shrink, j])
+        s[step, -1] = new_x[step]
+        f[step, -1] = new_f[step]
+        if bad.any():
+            drop(bad, False)
+
+    drop(np.ones(live.size, dtype=bool), True)
+    return points, values, evaluations, failed
+
+
 @dataclass(frozen=True)
 class RegularizationParams:
     """Elastic-net penalties on the standardized weights (not the phases):
@@ -172,6 +291,11 @@ class TrainConfig:
     seed: int = 0
 
 
+#: why a fit is not converged (``FitResult.failure_reason``)
+RESTARTS_DISAGREE = "the restart optima did not agree within the restart budget"
+NO_SHOT_ACCEPTED = "the shots estimate at the returned point accepted no shot"
+
+
 @dataclass(frozen=True)
 class FitResult:
     weights: WeightVector
@@ -181,13 +305,16 @@ class FitResult:
     restarts_used: int
     converged: bool
     evaluations: int
+    failure_reason: str | None = None
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Bootstrap-ensemble summary; weights are reported in the raw column
     units of each batch (recovered through the batch's standardization
-    scales) so they are directly comparable to generating truths."""
+    scales) so they are directly comparable to generating truths.
+    ``fits`` holds ``(batch index, FitResult)`` for every trained batch and
+    ``failures`` ``(batch index, message)`` for every other one."""
 
     mean_weights: np.ndarray
     std_errors: np.ndarray
@@ -196,10 +323,16 @@ class EnsembleResult:
     batch_size: int
     num_batches: int
     failures: tuple = field(default_factory=tuple)
+    fits: tuple = field(default_factory=tuple)
 
     @property
     def failed_batches(self) -> int:
         return len(self.failures)
+
+    @property
+    def unconverged(self) -> tuple:
+        """Indices of the pooled batches whose fits did not converge."""
+        return tuple(b for b, result in self.fits if not result.converged)
 
 
 def _make_backend(std: StandardizedTable, config: TrainConfig):
@@ -234,6 +367,47 @@ def _make_backend(std: StandardizedTable, config: TrainConfig):
     raise ValueError(f"unknown cost backend {config.cost_backend!r}")
 
 
+def _penalty(reg: RegularizationParams, x: np.ndarray):
+    """Elastic-net penalty of ``x``, or of each row of a 2-D ``x``."""
+    return reg.alpha_l1 * np.sum(np.abs(x), axis=-1) + reg.beta_l2 * np.sum(x**2, axis=-1)
+
+
+def _initial_point(config: TrainConfig, m_feats: int) -> np.ndarray:
+    if config.initial_weights is None:
+        return np.zeros(m_feats)
+    x0 = np.asarray(config.initial_weights, dtype=np.float64)
+    if x0.size != m_feats:
+        raise ValueError("initial_weights length must equal the feature count")
+    return x0
+
+
+def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.ndarray,
+                restarts_used: int, converged: bool, evaluations: int) -> FitResult:
+    """Phases, backend cost and R^2 at the trained ``point``.
+
+    A shot estimate is exactly zero when it accepts no shot, which on noisy
+    data says nothing about the cost; a shots fit whose estimate at the
+    returned point is zero is therefore not converged.
+    """
+    cosines = np.concatenate(([-1.0], point))
+    phases = phases_from_cosines(cosines)
+    cost_value = backend(cosines)
+    metrics = model_metrics(cost_value, std, phases)
+    reason = None if converged else RESTARTS_DISAGREE
+    if config.cost_backend == BACKEND_SHOTS and cost_value == 0.0:
+        reason = NO_SHOT_ACCEPTED
+    return FitResult(
+        weights=WeightVector(point),
+        phases=phases,
+        cost=cost_value,
+        r_squared=metrics.r_squared,
+        restarts_used=restarts_used,
+        converged=reason is None,
+        evaluations=evaluations,
+        failure_reason=reason,
+    )
+
+
 def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
         config: TrainConfig | None = None) -> FitResult:
     """Minimize backend cost plus elastic-net penalty over the standardized
@@ -241,10 +415,9 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
     consecutive restart optima agree to ``nm_tolerance_f``."""
     reg = reg or RegularizationParams()
     config = config or TrainConfig()
-    m_feats = std.num_features
     backend = _make_backend(std, config)
 
-    buffer = np.empty(m_feats + 1)
+    buffer = np.empty(std.num_features + 1)
     buffer[0] = -1.0
 
     def assemble(x):
@@ -256,17 +429,11 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
     def objective(x):
         value = backend(assemble(x))
         if use_penalty:
-            value += reg.alpha_l1 * np.sum(np.abs(x)) + reg.beta_l2 * np.sum(x**2)
+            value += _penalty(reg, x)
         return value
 
-    if config.initial_weights is not None:
-        x0 = np.asarray(config.initial_weights, dtype=np.float64)
-        if x0.size != m_feats:
-            raise ValueError("initial_weights length must equal the feature count")
-    else:
-        x0 = np.zeros(m_feats)
-
-    max_iter = config.max_iterations_per_restart or 400 * m_feats
+    x0 = _initial_point(config, std.num_features)
+    max_iter = config.max_iterations_per_restart or 400 * x0.size
     scale = config.initial_simplex_scale
     total_evals = 0
     result = nelder_mead(objective, x0, config.nm_tolerance_f, config.nm_tolerance_x,
@@ -287,19 +454,7 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
             converged = True
             break
 
-    cosines = assemble(result.point)
-    phases = phases_from_cosines(cosines)
-    cost_value = backend(cosines)
-    metrics = model_metrics(cost_value, std, phases)
-    return FitResult(
-        weights=WeightVector(result.point),
-        phases=phases,
-        cost=cost_value,
-        r_squared=metrics.r_squared,
-        restarts_used=restarts,
-        converged=converged,
-        evaluations=total_evals,
-    )
+    return _fit_result(std, config, backend, result.point, restarts, converged, total_evals)
 
 
 def fit_raw_table(raw: RawTable, reg: RegularizationParams | None = None,
@@ -311,18 +466,117 @@ def fit_raw_table(raw: RawTable, reg: RegularizationParams | None = None,
     return result, std.raw_weights(result.weights.weights)
 
 
-def _ensemble_worker(args):
-    """Fit batch ``batch_index``; returns ``(raw_weights, None)`` or
-    ``(None, failure message)``."""
-    (raw, plan, batch_index, reg, config) = args
-    batch = bootstrap_batch(raw, plan, batch_index)
-    batch_seed = int(np.random.SeedSequence([config.seed, batch_index]).generate_state(1)[0])
-    batch_config = replace(config, seed=batch_seed)
-    try:
-        _, raw_weights = fit_raw_table(batch, reg, batch_config)
-    except (ZeroVarianceColumnError, NelderMeadError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    return raw_weights, None
+def _ensemble_objective(stacked: np.ndarray, backends: list, reg: RegularizationParams,
+                        config: TrainConfig):
+    """``objective(problems, points)``: the penalized cost of batch
+    ``problems[i]`` at ``points[i]`` for increasing ``problems``.  On the
+    analytic backend it is one stacked product over the ``(B, L, M+1)``
+    batch tables that makes, point by point, the gemv and dot of
+    :meth:`StandardizedTable.cost`; any other backend calls each batch's
+    own closure, in the order given."""
+    use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
+    if config.cost_backend == BACKEND_ANALYTIC:
+
+        def cost(problems, points):
+            cosines = np.empty((len(points), points.shape[1] + 1))
+            cosines[:, 0] = -1.0
+            cosines[:, 1:] = points
+            tables = stacked if len(problems) == len(stacked) else stacked[problems]
+            r = np.matmul(tables, cosines[:, :, None])
+            return np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
+    else:
+        def cost(problems, points):
+            return np.array([backends[p](np.concatenate(([-1.0], x)))
+                             for p, x in zip(problems, points)], dtype=np.float64)
+
+    def objective(problems, points):
+        values = cost(problems, points)
+        if use_penalty:
+            values += _penalty(reg, points)
+        return values
+
+    return objective
+
+
+def _lockstep_restarts(objective, count: int, x0: np.ndarray, config: TrainConfig):
+    """:func:`fit`'s warm restarts for ``count`` problems at once; each
+    restart stage runs only the problems whose optima have not yet agreed.
+    Returns ``(points, restarts_used, converged, evaluations, failed)``."""
+    f_tol, x_tol = config.nm_tolerance_f, config.nm_tolerance_x
+    max_iter = config.max_iterations_per_restart or 400 * x0.size
+    scale = config.initial_simplex_scale
+    live = np.arange(count)
+    points, values, evaluations, failed = _lockstep_nelder_mead(
+        objective, live, np.tile(x0, (count, 1)), f_tol, x_tol, max_iter, scale)
+    restarts = np.ones(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    live = live[~failed]
+    for _ in range(1, config.max_restarts):
+        if not live.size:
+            break
+        scale *= 0.5
+        nxt, nxt_values, evals, nxt_failed = _lockstep_nelder_mead(
+            objective, live, points[live], f_tol, x_tol, max_iter, scale)
+        evaluations[live] += evals
+        restarts[live] += 1
+        failed[live] = nxt_failed
+        improvement = values[live] - nxt_values
+        better = nxt_values <= values[live]
+        points[live[better]] = nxt[better]
+        values[live[better]] = nxt_values[better]
+        agreed = np.abs(improvement) < f_tol
+        converged[live[agreed]] = True
+        live = live[~(agreed | nxt_failed)]
+    return points, restarts, converged, evaluations, failed
+
+
+def batch_fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.ndarray,
+                     restarts_used: int, converged: bool, evaluations: int) -> FitResult:
+    """The :class:`FitResult` of one ensemble batch trained in lockstep,
+    built exactly as :func:`fit` builds its own.  It is public and called
+    once per trained batch, so that whatever counts the fit results of
+    public trainer calls counts an ensemble of B batches as B fits, as it
+    did when every batch called :func:`fit`."""
+    return _fit_result(std, config, backend, point, restarts_used, converged, evaluations)
+
+
+def _batch_seed(seed: int, batch_index: int) -> int:
+    return int(np.random.SeedSequence([seed, batch_index]).generate_state(1)[0])
+
+
+def _train_batches(args) -> list:
+    """Train the batches ``batch_indices`` of ``plan`` in one lockstep run;
+    returns ``(b, FitResult, raw weights)`` or ``(b, None, failure
+    message)`` for each, in order."""
+    (raw, plan, batch_indices, reg, config) = args
+    outcomes = {}
+    trained, tables = [], []
+    for b in batch_indices:
+        try:
+            tables.append(standardize(bootstrap_batch(raw, plan, b)))
+        except ZeroVarianceColumnError as exc:
+            outcomes[b] = (None, f"{type(exc).__name__}: {exc}")
+            continue
+        trained.append(b)
+    if trained:
+        # keep one copy of the tables: each batch's table is a view of the stack
+        stacked = np.stack([std.values for std in tables])
+        tables = [replace(std, values=values) for std, values in zip(tables, stacked)]
+        configs = [replace(config, seed=_batch_seed(config.seed, b)) for b in trained]
+        backends = [_make_backend(std, c) for std, c in zip(tables, configs)]
+        points, restarts, converged, evaluations, failed = _lockstep_restarts(
+            _ensemble_objective(stacked, backends, reg, config), len(trained),
+            _initial_point(config, raw.num_features), config)
+        for i, (b, std, batch_config, backend) in enumerate(
+                zip(trained, tables, configs, backends)):
+            if failed[i]:
+                outcomes[b] = (None, f"{NelderMeadError.__name__}: {NAN_OBJECTIVE}")
+                continue
+            result = batch_fit_result(std, batch_config, backend, points[i].copy(),
+                                      int(restarts[i]), bool(converged[i]),
+                                      int(evaluations[i]))
+            outcomes[b] = (result, std.raw_weights(result.weights.weights))
+    return [(b, *outcomes[b]) for b in batch_indices]
 
 
 def fit_ensemble(
@@ -332,30 +586,36 @@ def fit_ensemble(
     config: TrainConfig | None = None,
     jobs: int | None = None,
 ) -> EnsembleResult:
-    """Standardize-and-fit every bootstrap batch independently and pool
-    the recovered raw-space weights.
+    """Standardize-and-fit every bootstrap batch and pool the recovered
+    raw-space weights.
 
-    The reported standard error is the across-batch standard deviation of
-    the weights (the batch-to-batch spread, not divided by sqrt(N_b));
-    ``t = mean / SE``.  Per-batch seeds derive from (master seed, batch
-    index), so serial and parallel runs agree exactly and the aggregate
-    is invariant under batch-order permutations.
+    All batches train together in one lockstep Nelder-Mead with warm
+    restarts, and each batch's result is bit for bit what :func:`fit` gives
+    on it; ``jobs > 1`` splits the batches into ``jobs`` contiguous chunks
+    trained in separate processes.  The reported standard error is the
+    across-batch standard deviation of the weights (the batch-to-batch
+    spread, not divided by sqrt(N_b)); ``t = mean / SE``.  Per-batch seeds
+    derive from (master seed, batch index), so serial and parallel runs
+    agree exactly and the aggregate is invariant under batch-order
+    permutations.
     """
     reg = reg or RegularizationParams()
     config = config or TrainConfig()
-    args = [(raw, plan, b, reg, config) for b in range(plan.num_batches)]
-    if jobs and jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, plan.num_batches // (jobs * 8))
-            results = list(pool.map(_ensemble_worker, args, chunksize=chunk))
+    parts = jobs if jobs and jobs > 1 else 1
+    chunks = [c.tolist() for c in np.array_split(np.arange(plan.num_batches), parts) if c.size]
+    args = [(raw, plan, chunk, reg, config) for chunk in chunks]
+    if len(args) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(args)) as pool:
+            outcomes = [o for part in pool.map(_train_batches, args) for o in part]
     else:
-        results = map(_ensemble_worker, args)
-    good, failures = [], []
-    for b, (w, err) in enumerate(results):
-        if w is None:
-            failures.append((b, err))
+        outcomes = _train_batches(args[0])
+    good, fits, failures = [], [], []
+    for b, result, value in outcomes:
+        if result is None:
+            failures.append((b, value))
         else:
-            good.append(w)
+            fits.append((b, result))
+            good.append(value)
 
     if not good:
         b, err = failures[0]
@@ -377,6 +637,7 @@ def fit_ensemble(
         batch_size=plan.batch_size,
         num_batches=plan.num_batches,
         failures=tuple(failures),
+        fits=tuple(fits),
     )
 
 

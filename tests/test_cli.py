@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,3 +150,37 @@ def test_fit_on_a_constant_column_is_a_data_error(tmp_path, capsys):
     assert run("fit", "--input", str(flat), "--out", str(out)) == 3
     assert "column 1 has zero variance" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_shots_fit_that_accepts_no_shot_is_not_converged(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    run("generate", "--rows", "16", "--features", "2", "--weights", "0.5,-0.3",
+        "--noise", "0.05", "--seed", "6", "--out", str(table))
+    out = tmp_path / "fit.json"
+    code = run("fit", "--input", str(table), "--backend", "shots", "--shots", "2000",
+               "--seed", "3", "--out", str(out))
+    assert code == 5
+    assert "accepted no shot" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ensemble_warns_about_unconverged_batches(tmp_path, capsys, monkeypatch):
+    import vqreg.cli as cli
+
+    table = tmp_path / "t.csv"
+    run("generate", "--rows", "64", "--features", "2", "--weights", "1,2",
+        "--noise", "0.1", "--seed", "5", "--out", str(table))
+    out = tmp_path / "ensemble.json"
+    args = ("ensemble", "--input", str(table), "--batches", "8", "--batch-size", "16",
+            "--seed", "3", "--out", str(out))
+    assert run(*args) == 0
+    assert "warning" not in capsys.readouterr().err
+    converged = out.read_bytes()
+
+    train_config = cli._train_config
+    monkeypatch.setattr(cli, "_train_config",
+                        lambda a: replace(train_config(a), max_restarts=1))
+    assert run(*args) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 8 of 8 trained bootstrap batches did not converge")
+    assert out.read_bytes() != converged  # one restart instead of several

@@ -10,8 +10,7 @@ from vqreg.data import (
     SyntheticSpec,
     TableFormatError,
     ZeroVarianceColumnError,
-    bootstrap_batches,
-    bootstrap_indices,
+    bootstrap_batch,
     build_power_features,
     digitize,
     generate_linear_synthetic,
@@ -171,22 +170,31 @@ def test_power_features_lasso_oracle_prefers_odd():
     assert odd > 10 * even
 
 
+def drawn_rows(plan, num_rows):
+    """Row indices of every batch, read back through ``bootstrap_batch`` from
+    a table whose response is the row index."""
+    index_table = RawTable(np.column_stack([np.arange(num_rows), np.zeros(num_rows)]))
+    return np.array([bootstrap_batch(index_table, plan, b).values[:, 0]
+                     for b in range(plan.num_batches)]).astype(int)
+
+
 def test_bootstrap_containment_and_determinism():
     rng = np.random.default_rng(6)
     raw = RawTable(rng.uniform(-1, 1, (40, 3)))
     plan = BootstrapPlan(num_batches=1, batch_size=40, rng_seed=3)
-    (batch,) = bootstrap_batches(raw, plan)
+    batch = bootstrap_batch(raw, plan, 0)
     source_rows = {tuple(r) for r in raw.values}
     assert all(tuple(r) in source_rows for r in batch.values)
-    again = bootstrap_batches(raw, plan)[0]
+    again = bootstrap_batch(raw, plan, 0)
     np.testing.assert_array_equal(batch.values, again.values)
+    with pytest.raises(IndexError):
+        bootstrap_batch(raw, plan, 1)
 
 
 def test_bootstrap_distinct_fraction():
     # oracle: expected distinct fraction 1 - (1 - 1/L)^batch_size
     L, batch_size, n_batches = 64, 32, 1000
-    raw = RawTable(np.arange(2 * L, dtype=float).reshape(L, 2))
-    idx = bootstrap_indices(BootstrapPlan(n_batches, batch_size, 17), L)
+    idx = drawn_rows(BootstrapPlan(n_batches, batch_size, 17), L)
     distinct = np.array([len(set(row)) for row in idx]) / L
     p_hit = 1 - (1 - 1 / L) ** batch_size
     se = distinct.std(ddof=1) / np.sqrt(n_batches)
@@ -199,10 +207,10 @@ def test_bootstrap_exchangeability_under_permutation():
     perm = rng.permutation(25)
     permuted = RawTable(raw.values[perm])
     plan = BootstrapPlan(5, 11, rng_seed=23)
-    idx = bootstrap_indices(plan, 25)
-    got = bootstrap_batches(permuted, plan)
+    idx = drawn_rows(plan, 25)
     for b in range(5):
-        np.testing.assert_array_equal(got[b].values, raw.values[perm[idx[b]]])
+        np.testing.assert_array_equal(bootstrap_batch(permuted, plan, b).values,
+                                      raw.values[perm[idx[b]]])
 
 
 def test_csv_round_trip_and_errors(tmp_path):

@@ -1,16 +1,22 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vqreg import trainer
 from vqreg.data import (
     BootstrapPlan,
     RawTable,
     SyntheticSpec,
+    ZeroVarianceColumnError,
+    bootstrap_batch,
     generate_linear_synthetic,
     standardize,
 )
 from vqreg.trainer import (
+    ConvergenceFailure,
     NelderMeadError,
     RegularizationParams,
     TrainConfig,
@@ -232,3 +238,155 @@ def test_sin_ansatz_sign_pattern():
     w = sin_ansatz_weights(15)
     assert list(w[0::2]) == [1, -1, 1, -1, 1, -1, 1, -1]
     assert np.all(w[1::2] == 0)
+
+
+def scalar_outcomes(raw, plan, reg, config):
+    """What one scalar ``fit`` per batch gives: ``{b: FitResult}`` and
+    ``{b: failure message}``."""
+    fits, failures = {}, {}
+    for b in range(plan.num_batches):
+        seed = int(np.random.SeedSequence([config.seed, b]).generate_state(1)[0])
+        try:
+            std = standardize(bootstrap_batch(raw, plan, b))
+            fits[b] = fit(std, reg, replace(config, seed=seed))
+        except (ZeroVarianceColumnError, NelderMeadError) as exc:
+            failures[b] = f"{type(exc).__name__}: {exc}"
+    return fits, failures
+
+
+def assert_same_fit(got, want):
+    np.testing.assert_array_equal(got.weights.weights, want.weights.weights)
+    np.testing.assert_array_equal(got.phases.phis, want.phases.phis)
+    assert (got.cost, got.r_squared) == (want.cost, want.r_squared)
+    assert (got.evaluations, got.restarts_used) == (want.evaluations, want.restarts_used)
+    assert (got.converged, got.failure_reason) == (want.converged, want.failure_reason)
+
+
+def assert_ensemble_matches_scalar(raw, plan, reg, config, jobs=None):
+    fits, failures = scalar_outcomes(raw, plan, reg, config)
+    if not fits:
+        with pytest.raises(ConvergenceFailure):
+            fit_ensemble(raw, plan, reg, config, jobs=jobs)
+        return
+    result = fit_ensemble(raw, plan, reg, config, jobs=jobs)
+    assert dict(result.failures) == failures
+    assert [b for b, _ in result.fits] == sorted(fits)
+    for b, got in result.fits:
+        assert_same_fit(got, fits[b])
+    assert result.unconverged == tuple(b for b in sorted(fits) if not fits[b].converged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    features=st.integers(1, 6),
+    rows=st.integers(2, 30),
+    batch_size=st.integers(2, 24),
+    batches=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    penalty=st.sampled_from([(0.0, 0.0), (1e-3, 0.0), (0.0, 1e-2), (1e-4, 1e-3)]),
+    max_restarts=st.integers(1, 6),
+    cap=st.sampled_from([None, 3, 40]),
+    start=st.booleans(),
+)
+def test_lockstep_ensemble_equals_scalar_fit_bit_for_bit(features, rows, batch_size, batches,
+                                                         seed, penalty, max_restarts, cap,
+                                                         start):
+    rng = np.random.default_rng(seed)
+    # few source rows make batches with a constant column likely
+    raw = RawTable(rng.uniform(-1.0, 1.0, (rows, features + 1)))
+    config = TrainConfig(
+        max_restarts=max_restarts, max_iterations_per_restart=cap,
+        initial_weights=rng.uniform(-1.0, 1.0, features) if start else None)
+    assert_ensemble_matches_scalar(raw, BootstrapPlan(batches, batch_size, seed),
+                                   RegularizationParams(*penalty), config)
+
+
+def test_lockstep_ensemble_covers_failing_batches_and_binding_caps():
+    raw = RawTable(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.2]]))
+    plan = BootstrapPlan(num_batches=24, batch_size=3, rng_seed=2)
+    config = TrainConfig(max_restarts=4, max_iterations_per_restart=6)
+    fits, failures = scalar_outcomes(raw, plan, RegularizationParams(), config)
+    assert fits and failures  # both kinds occur
+    assert_ensemble_matches_scalar(raw, plan, RegularizationParams(), config)
+    assert_ensemble_matches_scalar(raw, plan, RegularizationParams(), config, jobs=3)
+
+
+def test_lockstep_results_do_not_depend_on_batch_order_or_count():
+    master = generate_linear_synthetic(SyntheticSpec(200, np.array([1.0, -2.0, 0.5]), 0.1, 3))
+    config = TrainConfig(max_restarts=4)
+    reg = RegularizationParams(1e-4, 0.0)
+    full = dict(fit_ensemble(master, BootstrapPlan(10, 20, 8), reg, config).fits)
+    part = dict(fit_ensemble(master, BootstrapPlan(4, 20, 8), reg, config).fits)
+    order = [7, 2, 9, 0, 5]
+    shuffled = trainer._train_batches((master, BootstrapPlan(10, 20, 8), order, reg, config))
+    assert [b for b, _, _ in shuffled] == order
+    for b, result, _ in shuffled:
+        assert_same_fit(result, full[b])
+    for b, result in part.items():
+        assert_same_fit(result, full[b])
+
+
+def test_lockstep_nan_fails_only_its_row_with_the_scalar_outcome():
+    centres = np.array([[0.2, -0.1], [2.0, 0.0], [0.0, 0.3], [1.5, 1.0]])
+    limits = np.array([1.2, 1.2, 9.0, 0.9])
+
+    def problem(p):
+        def objective(x):
+            if x[0] > limits[p]:
+                return np.nan
+            return float(np.sum((x - centres[p]) ** 2))
+        return objective
+
+    def batched(problems, points):
+        return np.array([problem(p)(x) for p, x in zip(problems, points)])
+
+    x0 = np.zeros((4, 2))
+    points, values, evaluations, failed = trainer._lockstep_nelder_mead(
+        batched, np.arange(4), x0, 1e-14, 1e-14, 500, 0.5)
+    outcomes = []
+    for p in range(4):
+        try:
+            res = nelder_mead(problem(p), x0[p], 1e-14, 1e-14, 500, 0.5)
+        except NelderMeadError:
+            outcomes.append("nan")
+            assert failed[p] and np.isnan(values[p])
+            continue
+        outcomes.append("ok")
+        assert not failed[p]
+        np.testing.assert_array_equal(points[p], res.point)
+        assert (values[p], evaluations[p]) == (res.value, res.evaluations)
+    assert "nan" in outcomes and "ok" in outcomes
+
+
+def test_ensemble_reports_the_scalar_nan_failure(monkeypatch):
+    make_backend = trainer._make_backend
+
+    def backend_with_a_hole(std, config):
+        cost = make_backend(std, replace(config, cost_backend="analytic"))
+        hole = std.values[0, 1] > 0.0  # about half the batches
+        return lambda c: np.nan if hole and c[1] > 0.3 else cost(c)
+
+    monkeypatch.setattr(trainer, "_make_backend", backend_with_a_hole)
+    master = generate_linear_synthetic(SyntheticSpec(64, np.array([1.0, 0.5]), 0.1, 4))
+    plan = BootstrapPlan(8, 16, 5)
+    config = TrainConfig(cost_backend="nan-holes", max_restarts=3)
+    fits, failures = scalar_outcomes(master, plan, RegularizationParams(), config)
+    assert fits and set(failures.values()) == {"NelderMeadError: objective returned NaN"}
+    assert_ensemble_matches_scalar(master, plan, RegularizationParams(), config)
+
+
+def test_circuit_backend_ensemble_equals_per_batch_fit():
+    master = generate_linear_synthetic(SyntheticSpec(32, np.array([0.6, -0.4]), 0.05, 12))
+    plan = BootstrapPlan(3, 8, 6)
+    config = TrainConfig(cost_backend="circuit", max_restarts=2,
+                         max_iterations_per_restart=60)
+    assert_ensemble_matches_scalar(master, plan, RegularizationParams(), config)
+
+
+def test_ensemble_reports_every_batch_when_restarts_cannot_agree():
+    master = generate_linear_synthetic(SyntheticSpec(64, np.array([1.0, 2.0]), 0.1, 13))
+    result = fit_ensemble(master, BootstrapPlan(6, 20, 2), config=TrainConfig(max_restarts=1))
+    assert result.unconverged == tuple(range(6))
+    assert all(r.failure_reason == trainer.RESTARTS_DISAGREE for _, r in result.fits)
+    converged = fit_ensemble(master, BootstrapPlan(6, 20, 2))
+    assert converged.unconverged == ()
