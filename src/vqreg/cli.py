@@ -24,6 +24,7 @@ from .data import (
     SyntheticSpec,
     TableFormatError,
     ZeroVarianceColumnError,
+    child_seed,
     generate_linear_synthetic,
     load_csv,
     save_csv,
@@ -49,7 +50,6 @@ from .trainer import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_CONVERGENCE = 5
@@ -73,6 +73,21 @@ def _parse_ints(text: str) -> list[int]:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -198,7 +213,7 @@ def cmd_noise_sweep(args) -> int:
             num_rows=args.rows,
             true_weights=np.asarray(args.weights),
             noise_std=noise,
-            rng_seed=int(np.random.SeedSequence([args.seed, level_index]).generate_state(1)[0]),
+            rng_seed=child_seed(args.seed, level_index),
         )
         master = generate_linear_synthetic(spec)
         for batch_size in args.batch_sizes:
@@ -245,7 +260,7 @@ def cmd_shadow_study(args) -> int:
             config = ShadowConfig(
                 snapshots=snapshots,
                 locality=n_m,
-                seed=int(np.random.SeedSequence([args.seed, n_m, rep]).generate_state(1)[0]),
+                seed=child_seed(args.seed, n_m, rep),
             )
             est = pauli_shadow_estimate(prep.state, prep.layout, config)
             errors.append(est.value - exact)
@@ -322,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, required=True, dest="batch_size")
     p.add_argument("--l1", type=float, default=0.0)
     p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_output_path("ensemble.json"))
     p.add_argument("--per-batch-csv", default=None, dest="per_batch_csv")
@@ -345,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-sizes", type=_parse_ints, default=[10, 20, 40, 60, 100, 150],
                    dest="batch_sizes")
     p.add_argument("--batches", type=int, default=1024)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_output_path("noise_sweep.json"))
     p.add_argument("--table-csv", default=None, dest="table_csv")
@@ -354,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow-study", help="random-Pauli shadow coverage study")
     p.add_argument("--col-qubits", type=_parse_ints, default=[1, 2], dest="col_qubits")
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--replications", type=int, default=100)
+    p.add_argument("--replications", type=_int_at_least(2), default=100,
+                   help="at least 2, so the error variance is defined")
     p.add_argument("--snapshots", type=int, default=None,
                    help="override the calibrated snapshot budget")
     p.add_argument("--seed", type=int, default=0)

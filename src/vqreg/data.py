@@ -6,7 +6,8 @@ Table convention: an ``L x (M+1)`` matrix whose column 0 is the response
 ``y`` and columns ``1..M`` are the features.  All randomness goes through
 NumPy ``default_rng`` (PCG64) seeded from explicit integers; bootstrap
 batch ``b`` uses ``SeedSequence([master_seed, b])`` so batches can be
-generated independently and in any order.
+generated independently and in any order.  Where a child run takes an
+integer seed, :func:`child_seed` derives it the same way.
 """
 from __future__ import annotations
 
@@ -248,6 +249,13 @@ class BootstrapPlan:
             raise ValueError("batch_size must be >= 1")
 
 
+def child_seed(*entropy: int) -> int:
+    """The integer seed of the child run keyed by ``entropy``, e.g.
+    ``(master_seed, batch_index)``: the first word of
+    ``SeedSequence(entropy)``'s state."""
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+
 def bootstrap_batch(raw: RawTable, plan: BootstrapPlan, batch_index: int) -> RawTable:
     """Batch ``b``: ``batch_size`` rows drawn with replacement from
     ``default_rng(SeedSequence([rng_seed, b]))``, so batches are
@@ -302,11 +310,6 @@ def save_results_json(path, result: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_results_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _jsonable(obj):

@@ -87,11 +87,6 @@ class EncodingLayout:
         # circuits place the fresh ancilla above the data register
         return self.data_qubit_count
 
-    def cell_basis_index(self, row: int, col: int) -> int:
-        if not (0 <= row < self.num_rows and 0 <= col <= self.num_features):
-            raise IndexError(f"cell ({row}, {col}) outside the table")
-        return int(self.code_basis_indices()[row, col])
-
     def code_basis_indices(self) -> np.ndarray:
         """Basis indices of all real cells, row-major, shape (L, M+1)."""
         rows = np.arange(self.num_rows)[:, None]
@@ -265,23 +260,3 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
     # memory register is in a basis state: slice its block
     block = without_anc.amplitudes[(mem_pattern << layout.n_k) + qpu]
     return PreparedState(StateVector(layout.n_k, 1j * block), layout, prob)
-
-
-def compact_from_exact_values(std: StandardizedTable) -> PreparedState:
-    """Infinite-precision limit of the compact route: phases are the exact
-    standardized values, amplitudes proportional to ``sin(x_lm)``."""
-    layout = make_layout(COMPACT_BINARY, std.num_rows, std.num_features)
-    return _compact_from_phases(layout, std.values)
-
-
-def success_probability_approximations(dig: DigitizedTable) -> dict:
-    """Two closed-form success-probability approximations for the
-    compact route, reported side by side with no reconciliation:
-    the mean-square estimate ``sum(x~^2) / K`` and the per-feature-scaled
-    bound ``(1 + M) / K`` (they coincide only when the per-column energies
-    sum to ``1 + M``)."""
-    k_pad = 1 << make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features).n_k
-    return {
-        "mean_square": float((dig.x_tilde**2).sum() / k_pad),
-        "feature_scaled": float((1 + dig.num_features) / k_pad),
-    }

@@ -29,9 +29,6 @@ ESTIMATOR_COMPACT_X = "compact-x-basis"
 ESTIMATOR_ONE_HOT_GROUPED = "grouped-pauli"
 ESTIMATOR_SHADOWS = "pauli-shadows"
 
-VARIANCE_IDENTITY_PLUS_M = "identity-plus-m"
-VARIANCE_OPERATOR = "operator-derived"
-
 #: median-of-means failure probability of the shadow estimator
 SHADOW_FAILURE_PROB = 0.05
 
@@ -68,9 +65,6 @@ class ShotBudget:
 
     epsilon: float
     alpha: float
-    formula: str
-    variance: float
-    required_shots: int
     variance_identity_plus_m: float
     variance_operator: float
     shots_identity_plus_m: int
@@ -94,10 +88,6 @@ class ShadowConfig:
     def __post_init__(self):
         if self.snapshots < 1:
             raise ValueError("snapshots must be positive")
-
-    @property
-    def shadow_norm_bound(self) -> float:
-        return 4.0**self.locality
 
     @property
     def groups(self) -> int:
@@ -338,13 +328,11 @@ def pauli_shadow_estimate(
     psi0: StateVector,
     layout: EncodingLayout,
     config: ShadowConfig,
-    norm_squared: float = 1.0,
 ) -> CostEstimate:
     """Random-Pauli classical-shadow estimate of the compact cost operator.
 
-    ``psi0`` must be normalized; pass the squared norm of the post-selected
-    state through ``norm_squared`` so the unnormalized expectation is
-    recovered.  Each snapshot measures every qubit in a uniformly random
+    ``psi0`` must be normalized; the expectation on a post-selected state
+    is the estimate times that state's squared norm.  Each snapshot measures every qubit in a uniformly random
     Pauli basis; the single-qubit inverse channel
     ``3 |outcome><outcome| - I`` turns the record into unbiased estimates
     of the ``2**N_M`` X/I strings the operator expands into.  A string
@@ -360,7 +348,7 @@ def pauli_shadow_estimate(
     if psi0.num_qubits != n:
         raise LayoutMismatchError("state size does not match layout")
     if abs(psi0.norm_squared - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized; track its norm via norm_squared")
+        raise ValueError("psi0 must be normalized")
     groups = config.groups
     if config.snapshots < groups:
         raise ValueError(f"need at least {groups} snapshots for {groups} groups")
@@ -389,11 +377,11 @@ def pauli_shadow_estimate(
     estimates = np.prod(1.0 + 3.0 * (bases[:, :layout.n_m] == 0) * signs, axis=1)
 
     group_means = np.array([chunk.mean() for chunk in np.array_split(estimates, groups)])
-    value = float(np.median(group_means)) * norm_squared
+    value = float(np.median(group_means))
     if groups > 1:
-        std_error = float(np.std(group_means, ddof=1) / np.sqrt(groups)) * norm_squared
+        std_error = float(np.std(group_means, ddof=1) / np.sqrt(groups))
     else:
-        std_error = float(np.std(estimates, ddof=1) / np.sqrt(config.snapshots)) * norm_squared
+        std_error = float(np.std(estimates, ddof=1) / np.sqrt(config.snapshots))
     return CostEstimate(value, ESTIMATOR_SHADOWS, config.snapshots, std_error,
                         0.0, _seed_to_int(config.seed))
 
@@ -420,34 +408,22 @@ def variance_operator_derived(cost: float, num_features: int) -> float:
     return (num_features + 1) * cost - cost**2
 
 
-def required_shots(
-    cost: float,
-    num_features: int,
-    epsilon: float,
-    alpha: float,
-    variance_formula: str = VARIANCE_OPERATOR,
-) -> ShotBudget:
+def required_shots(cost: float, num_features: int, epsilon: float, alpha: float) -> ShotBudget:
     """Bernstein sample budget for resolving the cost to ``epsilon`` at
-    confidence ``1 - alpha``; both variance formulas are reported."""
+    confidence ``1 - alpha``, under both variance formulas."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if variance_formula not in (VARIANCE_IDENTITY_PLUS_M, VARIANCE_OPERATOR):
-        raise ValueError(f"unknown variance formula {variance_formula!r}")
 
     def budget(sigma_sq: float) -> int:
         return int(np.ceil(2.0 * max(sigma_sq, 0.0) * np.log(1.0 / alpha) / epsilon**2))
 
     var_affine = variance_identity_plus_m(cost, num_features)
     var_op = variance_operator_derived(cost, num_features)
-    chosen = var_affine if variance_formula == VARIANCE_IDENTITY_PLUS_M else var_op
     return ShotBudget(
         epsilon=epsilon,
         alpha=alpha,
-        formula=variance_formula,
-        variance=chosen,
-        required_shots=budget(chosen),
         variance_identity_plus_m=var_affine,
         variance_operator=var_op,
         shots_identity_plus_m=budget(var_affine),

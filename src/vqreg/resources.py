@@ -106,9 +106,3 @@ def sweep_shot_cost_ratio(row_counts, num_features: int, n_bits: int = 8,
             }
         )
     return rows
-
-
-def classical_reference_cost(num_rows: int, num_features: int) -> int:
-    """Classical reference total (memory times regression-map work),
-    ``O(L^2 M^3)`` with unit constants; for comparison output only."""
-    return num_rows**2 * num_features**3

@@ -98,18 +98,6 @@ def _paired_view(amps: np.ndarray, num_qubits: int, target: int) -> np.ndarray:
     return amps.reshape(1 << (num_qubits - 1 - target), 2, 1 << target)
 
 
-def apply_ry(state: StateVector, target: int, theta: float) -> StateVector:
-    """Rotate ``target`` by ``[[cos t, -sin t], [sin t, cos t]]``."""
-    _check_qubit(state, target)
-    amps = state.amplitudes.copy()
-    view = _paired_view(amps, state.num_qubits, target)
-    c, s = np.cos(theta), np.sin(theta)
-    a0 = view[:, 0, :].copy()
-    view[:, 0, :] = c * a0 - s * view[:, 1, :]
-    view[:, 1, :] = s * a0 + c * view[:, 1, :]
-    return StateVector(state.num_qubits, amps)
-
-
 def apply_hadamard(state: StateVector, target: int) -> StateVector:
     _check_qubit(state, target)
     amps = state.amplitudes.copy()
@@ -234,14 +222,6 @@ def sample_indices(state: StateVector, shots: int, rng_seed) -> np.ndarray:
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     return rng.choice(probs.size, size=shots, p=probs)
-
-
-def sample_bitstrings(state: StateVector, shots: int, rng_seed: int) -> list[str]:
-    """As :func:`sample_indices`, formatted so that character ``q`` of each
-    string is the value of qubit ``q``."""
-    idx = sample_indices(state, shots, rng_seed)
-    n = state.num_qubits
-    return [format(i, f"0{n}b")[::-1] for i in idx]
 
 
 def index_bits(indices: np.ndarray, qubits) -> np.ndarray:

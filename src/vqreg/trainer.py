@@ -41,6 +41,7 @@ from .data import (
     ZeroVarianceColumnError,
     bootstrap_batch,
     build_power_features,
+    child_seed,
     power_feature_table,
     standardize,
 )
@@ -540,10 +541,6 @@ def batch_fit_result(std: StandardizedTable, config: TrainConfig, backend, point
     return _fit_result(std, config, backend, point, restarts_used, converged, evaluations)
 
 
-def _batch_seed(seed: int, batch_index: int) -> int:
-    return int(np.random.SeedSequence([seed, batch_index]).generate_state(1)[0])
-
-
 def _train_batches(args) -> list:
     """Train the batches ``batch_indices`` of ``plan`` in one lockstep run;
     returns ``(b, FitResult, raw weights)`` or ``(b, None, failure
@@ -562,7 +559,7 @@ def _train_batches(args) -> list:
         # keep one copy of the tables: each batch's table is a view of the stack
         stacked = np.stack([std.values for std in tables])
         tables = [replace(std, values=values) for std, values in zip(tables, stacked)]
-        configs = [replace(config, seed=_batch_seed(config.seed, b)) for b in trained]
+        configs = [replace(config, seed=child_seed(config.seed, b)) for b in trained]
         backends = [_make_backend(std, c) for std, c in zip(tables, configs)]
         points, restarts, converged, evaluations, failed = _lockstep_restarts(
             _ensemble_objective(stacked, backends, reg, config), len(trained),
@@ -664,12 +661,11 @@ def fit_nonlinear_sin_demo(
     num_records: int = 32,
     max_power: int = 15,
     seed: int = 11,
-    grid_points: int = 201,
-    config: TrainConfig | None = None,
 ) -> SinDemoResult:
     """Nonlinear regression via preprocessed power features: y = sin(x) on
     uniform x in [-1, 1], 15 power columns, L1 penalty, and the
-    alternating-sign ansatz on the odd powers."""
+    alternating-sign ansatz on the odd powers.  The fitted curve is
+    evaluated on 201 evenly spaced points of [-1, 1]."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=num_records)
     table = power_feature_table(x, np.sin(x), max_power)
@@ -677,21 +673,18 @@ def fit_nonlinear_sin_demo(
 
     raw_init = sin_ansatz_weights(max_power)
     std_init = raw_init * std.column_scales[0] / std.column_scales[1:]
-    if config is None:
-        config = TrainConfig(
-            max_restarts=24,
-            nm_tolerance_f=1e-14,
-            nm_tolerance_x=1e-14,
-            max_iterations_per_restart=20000,
-            initial_weights=std_init,
-            initial_simplex_scale=0.25,
-        )
-    elif config.initial_weights is None:
-        config = replace(config, initial_weights=std_init)
+    config = TrainConfig(
+        max_restarts=24,
+        nm_tolerance_f=1e-14,
+        nm_tolerance_x=1e-14,
+        max_iterations_per_restart=20000,
+        initial_weights=std_init,
+        initial_simplex_scale=0.25,
+    )
 
     result = fit(std, RegularizationParams(alpha_l1=alpha_l1), config)
     raw_weights = std.raw_weights(result.weights.weights)
-    grid = np.linspace(-1.0, 1.0, grid_points)
+    grid = np.linspace(-1.0, 1.0, 201)
     response_mean = float(table.values[:, 0].mean())
     feature_means = table.values[:, 1:].mean(axis=0)
     powers = build_power_features(grid, max_power)

@@ -105,6 +105,23 @@ def test_shadow_study_smoke(tmp_path):
     assert payload["study"][0]["coverage"] >= 0.9
 
 
+@pytest.mark.parametrize("argv", [
+    ("shadow-study", "--replications", "0"),
+    ("shadow-study", "--replications", "1"),
+    ("ensemble", "--input", "t.csv", "--batch-size", "4", "--jobs", "-3"),
+    ("ensemble", "--input", "t.csv", "--batch-size", "4", "--jobs", "0"),
+    ("noise-sweep", "--rows", "16", "--weights", "1", "--batch-sizes", "4",
+     "--batches", "2", "--jobs", "-3"),
+])
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_noise_sweep_smoke(tmp_path):
     out = tmp_path / "sweep.json"
     csv_out = tmp_path / "sweep.csv"

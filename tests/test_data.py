@@ -15,7 +15,6 @@ from vqreg.data import (
     digitize,
     generate_linear_synthetic,
     load_csv,
-    load_results_json,
     save_csv,
     save_results_json,
     standardize,
@@ -245,11 +244,10 @@ def test_json_round_trip_full_precision(tmp_path):
     }
     path = tmp_path / "r.json"
     save_results_json(path, payload)
-    loaded = load_results_json(path)
+    loaded = json.loads(path.read_text())
     assert loaded["weights"] == [1 / 3, np.pi, 5.1e-17]
     assert loaded["cost"] == 0.1 + 0.2
     # deterministic bytes
     path2 = tmp_path / "r2.json"
     save_results_json(path2, payload)
     assert path.read_bytes() == path2.read_bytes()
-    json.loads(path.read_text())

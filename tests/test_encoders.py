@@ -9,13 +9,11 @@ from vqreg.encoders import (
     ONE_HOT,
     ZeroSuccessProbabilityError,
     chain_angles,
-    compact_from_exact_values,
     make_layout,
     memory_free_compact,
     prepare_compact_with_memory,
     prepare_exact,
     prepare_one_hot_chain,
-    success_probability_approximations,
 )
 from vqreg.data import StandardizedTable
 from vqreg.measurement import exact_expectation
@@ -180,11 +178,11 @@ def test_success_probability_scales_inversely_with_rows():
         dig = digitize(std, 10)
         prep = memory_free_compact(dig)
         k_pad = 1 << prep.layout.n_k
-        # exact simulated value vs the mean-square approximation
-        approx = success_probability_approximations(dig)
+        # exact simulated value vs the mean-square approximation sum(x~^2) / K
         assert abs(prep.success_probability - np.sum(np.sin(dig.x_tilde) ** 2) / k_pad) < 1e-12
         # the x~^2 approximation overshoots by the sin distortion only
-        assert 0.8 < prep.success_probability / approx["mean_square"] <= 1.0
+        mean_square = np.sum(dig.x_tilde**2) / k_pad
+        assert 0.8 < prep.success_probability / mean_square <= 1.0
         probs[num_rows] = prep.success_probability
     assert probs[4] / probs[8] == pytest.approx(2.0, rel=0.25)
     assert probs[8] / probs[16] == pytest.approx(2.0, rel=0.25)
@@ -224,7 +222,7 @@ def test_digitization_error_propagation():
         assert errors[n_bits] <= 5.0 * (2.0**-n_bits + max_cube)
     assert errors[12] <= errors[2] + 1e-12
     # infinite-precision limit: only the sin() distortion remains
-    prep_inf = compact_from_exact_values(std).normalized()
+    prep_inf = memory_free_compact(digitize(std, 40)).normalized()
     assert abs(map_and_measure(prep_inf, phases) - exact) <= 5.0 * max_cube
 
 
@@ -245,16 +243,13 @@ def test_compact_routes_enforce_the_qubit_cap():
                          np.array([0.5]), num_rows, 1)
     with pytest.raises(ValueError, match="capped at 24"):
         memory_free_compact(dig)
-    with pytest.raises(ValueError, match="capped at 24"):
-        compact_from_exact_values(table_from_values(cells))
 
 
 def test_layout_geometry():
     layout = make_layout(COMPACT_BINARY, 4, 3)
     assert (layout.n_l, layout.n_m, layout.n_k) == (2, 2, 4)
-    assert layout.cell_basis_index(2, 1) == 1 + (2 << 2)
+    assert layout.code_basis_indices()[2, 1] == 1 + (2 << 2)
     one_hot = make_layout(ONE_HOT, 2, 1)
     assert one_hot.data_qubit_count == 4
-    assert one_hot.cell_basis_index(1, 0) == 1 << 2
-    with pytest.raises(IndexError):
-        one_hot.cell_basis_index(2, 0)
+    assert one_hot.code_basis_indices()[1, 0] == 1 << 2
+    assert one_hot.code_basis_indices().shape == (2, 2)

@@ -8,8 +8,6 @@ from vqreg.encoders import COMPACT_BINARY, ONE_HOT, make_layout, prepare_exact
 from vqreg.measurement import (
     LayoutMismatchError,
     ShadowConfig,
-    VARIANCE_OPERATOR,
-    VARIANCE_IDENTITY_PLUS_M,
     exact_expectation,
     measured_qubit_count,
     model_metrics,
@@ -220,8 +218,8 @@ def test_shadow_norm_rescaling():
     psi0, p = apply_regression_map(prep, phases)
     exact = exact_expectation(psi0, prep.layout)
     cfg = ShadowConfig(snapshots=40000, locality=prep.layout.n_m, seed=9)
-    est = pauli_shadow_estimate(psi0.renormalized(), prep.layout, cfg, norm_squared=p)
-    assert abs(est.value - exact) < 0.05
+    est = pauli_shadow_estimate(psi0.renormalized(), prep.layout, cfg)
+    assert abs(est.value * p - exact) < 0.05
 
 
 def test_shadow_variance_scales_with_shots():
@@ -250,7 +248,6 @@ def test_shadow_validation():
     with pytest.raises(LayoutMismatchError):
         pauli_shadow_estimate(psi, make_layout(ONE_HOT, 2, 1),
                               ShadowConfig(snapshots=100, locality=1))
-    assert ShadowConfig(snapshots=100, locality=2).shadow_norm_bound == 16.0
     assert ShadowConfig(snapshots=100, locality=1).groups == 6
     assert shadow_snapshot_budget(1, 0.25) == int(np.ceil(12 * np.log(2) * 4 / 0.0625))
 
@@ -268,20 +265,18 @@ def test_model_metrics_anchor_points():
 
 
 def test_required_shots_examples():
-    budget = required_shots(0.0, 6, 0.01, 0.05, VARIANCE_IDENTITY_PLUS_M)
-    assert budget.required_shots == 59915
+    budget = required_shots(0.0, 6, 0.01, 0.05)
+    assert budget.shots_identity_plus_m == 59915
     assert budget.variance_identity_plus_m == 1.0
-    op = required_shots(0.0, 6, 0.01, 0.05, VARIANCE_OPERATOR)
-    assert op.variance_operator == 0.0 and op.required_shots == 0
-    assert op.shots_identity_plus_m == 59915  # both formulas always reported
+    assert budget.variance_operator == 0.0 and budget.shots_operator == 0
 
     # epsilon halved -> un-ceiled budget exactly quadruples
     for eps in (0.01, 0.02):
         raw = 2 * variance_identity_plus_m(0.1, 3) * np.log(1 / 0.05) / eps**2
         raw_half = 2 * variance_identity_plus_m(0.1, 3) * np.log(1 / 0.05) / (eps / 2) ** 2
         assert raw_half == 4 * raw
-        a = required_shots(0.1, 3, eps, 0.05, VARIANCE_IDENTITY_PLUS_M).required_shots
-        b = required_shots(0.1, 3, eps / 2, 0.05, VARIANCE_IDENTITY_PLUS_M).required_shots
+        a = required_shots(0.1, 3, eps, 0.05).shots_identity_plus_m
+        b = required_shots(0.1, 3, eps / 2, 0.05).shots_identity_plus_m
         assert abs(b - 4 * a) <= 3  # ceiling slack only
 
 
@@ -292,8 +287,6 @@ def test_variance_formulas():
         required_shots(0.1, 2, -1.0, 0.05)
     with pytest.raises(ValueError):
         required_shots(0.1, 2, 0.1, 1.5)
-    with pytest.raises(ValueError):
-        required_shots(0.1, 2, 0.1, 0.05, "unknown")
 
 
 def test_measured_qubit_counts():

@@ -7,7 +7,6 @@ from vqreg.resources import (
     GATE_MODELS,
     GLOBAL_ANALOG,
     LOCAL_DIGITAL,
-    classical_reference_cost,
     estimate,
     shot_cost_ratio,
     sweep_shot_cost_ratio,
@@ -70,8 +69,7 @@ def test_shot_cost_ratio_grows_logarithmically():
     assert shot_cost_ratio(1024, 6, 8) > shot_cost_ratio(16, 6, 8)
 
 
-def test_classical_reference_and_validation():
-    assert classical_reference_cost(10, 3) == 100 * 27
+def test_estimate_validation():
     with pytest.raises(ValueError):
         estimate(0, 3, 8, ONE_HOT, GLOBAL_ANALOG)
     with pytest.raises(ValueError):

@@ -10,11 +10,9 @@ from vqreg.statevector import (
     apply_controlled_diagonal_phase,
     apply_controlled_ry,
     apply_hadamard,
-    apply_ry,
     basis_state,
     index_bits,
     postselect,
-    sample_bitstrings,
     sample_indices,
 )
 
@@ -23,13 +21,6 @@ def random_state(num_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
-
-
-def test_ry_identity_and_quarter_turn():
-    s = apply_ry(basis_state(1, 0), 0, 0.0)
-    np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-15)
-    s = apply_ry(basis_state(1, 0), 0, np.pi / 2)
-    np.testing.assert_allclose(s.amplitudes, [0, 1], atol=1e-15)
 
 
 def test_gadget_matches_matrix_oracle():
@@ -166,7 +157,6 @@ def test_unitarity_and_linearity():
     rng = np.random.default_rng(6)
     s = random_state(5, 7)
     ops = [
-        lambda st: apply_ry(st, 2, 0.77),
         lambda st: apply_hadamard(st, 4),
         lambda st: apply_cnot(st, 1, 3),
         lambda st: apply_controlled_ry(st, 0, 2, -1.1),
@@ -188,8 +178,7 @@ def test_unitarity_and_linearity():
 
 def test_sampling_contracts():
     # deterministic state -> constant samples
-    strings = sample_bitstrings(basis_state(3, 0), 5, 1)
-    assert strings == ["000"] * 5
+    assert sample_indices(basis_state(3, 0), 5, 1).tolist() == [0] * 5
     # Bernoulli 5 sigma on |+>
     plus = apply_hadamard(basis_state(1, 0), 0)
     idx = sample_indices(plus, 10**5, 12)
@@ -202,8 +191,8 @@ def test_sampling_contracts():
 
 
 def test_bitstring_convention_and_index_bits():
-    # qubit 1 set -> index 2 -> character position 1 reads '1'
-    assert sample_bitstrings(basis_state(3, 2), 1, 0) == ["010"]
+    # qubit 1 set -> index 2 -> column 1 of its bits reads 1
+    assert sample_indices(basis_state(3, 2), 1, 0).tolist() == [2]
     bits = index_bits(np.array([2, 5]), range(3))
     np.testing.assert_array_equal(bits, [[0, 1, 0], [1, 0, 1]])
 
@@ -211,7 +200,7 @@ def test_bitstring_convention_and_index_bits():
 def test_index_errors_and_validation():
     s = basis_state(2, 0)
     with pytest.raises(IndexError):
-        apply_ry(s, 2, 0.1)
+        apply_controlled_ry(s, 0, 2, 0.1)
     with pytest.raises(IndexError):
         apply_hadamard(s, -1)
     with pytest.raises(ValueError):
