@@ -332,8 +332,9 @@ def pauli_shadow_estimate(
     """Random-Pauli classical-shadow estimate of the compact cost operator.
 
     ``psi0`` must be normalized; the expectation on a post-selected state
-    is the estimate times that state's squared norm.  Each snapshot measures every qubit in a uniformly random
-    Pauli basis; the single-qubit inverse channel
+    is the estimate times that state's squared norm.  Each snapshot
+    measures every qubit in a uniformly random Pauli basis; the
+    single-qubit inverse channel
     ``3 |outcome><outcome| - I`` turns the record into unbiased estimates
     of the ``2**N_M`` X/I strings the operator expands into.  A string
     contributes ``3**|S|`` times its outcome signs when every qubit of its

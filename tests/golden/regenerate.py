@@ -9,11 +9,11 @@ in-process, in one scratch directory and with relative paths, so that the
 paths echoed into ``config_echo`` do not depend on where they ran; later
 commands read the tables earlier ``generate`` commands wrote.  For each run,
 ``runs.json`` records its exit code, its stderr text, the warnings it raised
-and the files it wrote or rewrote, which are copied to ``out/<run>/``.  ``runs.json`` also
-records the NumPy and BLAS versions, because another build can move the last
-bits of a trained weight.  ``tests/test_golden.py`` re-runs the list and
-compares.  Regenerate only in a change that moves outputs on purpose, and say
-there which numbers moved and why.
+and the files it wrote or rewrote, which are copied to ``out/<run>/``.
+``runs.json`` also records the NumPy and BLAS versions, because another
+build can move the last bits of a trained weight.  ``tests/test_golden.py``
+re-runs the list and compares.  Regenerate only in a change that moves
+outputs on purpose, and say there which numbers moved and why.
 """
 from __future__ import annotations
 
