@@ -2,12 +2,13 @@
 experiments: synthetic data generation, single fits, bootstrap ensembles,
 noise sweeps, shadow studies, and resource tables.
 
-Every run echoes its fully resolved configuration (including the seed)
-into the JSON output, and all outputs are byte-identical across re-runs
-with the same inputs.  Exit codes: 0 success, 2 usage, 3 malformed input
-data (including a constant column in the table ``fit`` trains on), 4 I/O
-failure, 5 training did not converge (including an ensemble whose every
-batch failed), 1 anything else.
+Every run echoes its fully resolved configuration (including the seed of
+every command that draws random numbers) into the JSON output, and all
+outputs are byte-identical across re-runs with the same inputs.  Exit
+codes: 0 success, 2 usage (including an out-of-range count), 3 malformed
+input data (including a constant column in the table ``fit`` trains on),
+4 I/O failure, 5 training did not converge (including an ensemble whose
+every batch failed), 1 anything else.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .data import (
 )
 from .encoders import COMPACT_BINARY, ONE_HOT, prepare_exact
 from .measurement import (
+    SHADOW_GROUPS,
     ShadowConfig,
     exact_expectation,
     pauli_shadow_estimate,
@@ -307,10 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic linear-map table as CSV")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--features", type=int, required=True)
+    p.add_argument("--rows", type=_int_at_least(2), required=True)
     p.add_argument("--weights", type=_parse_floats, required=True,
-                   help="comma-separated generating weights")
+                   help="comma-separated generating weights, one per feature")
     p.add_argument("--noise", type=float, default=0.0,
                    help="relative weight-noise standard deviation")
     p.add_argument("--seed", type=int, default=0)
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("analytic", "circuit", "shots"), default="analytic")
     p.add_argument("--l1", type=float, default=0.0, help="L1 penalty strength")
     p.add_argument("--l2", type=float, default=0.0, help="L2 penalty strength")
-    p.add_argument("--shots", type=int, default=4096)
+    p.add_argument("--shots", type=_int_at_least(1), default=4096)
     p.add_argument("--readout-delta", type=float, default=0.0, dest="readout_delta")
     p.add_argument("--estimator", choices=("compact", "one-hot"), default="compact")
     p.add_argument("--no-equalize", action="store_true",
@@ -333,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="bootstrap-ensemble training")
     p.add_argument("--input", required=True)
-    p.add_argument("--batches", type=int, default=1024)
-    p.add_argument("--batch-size", type=int, required=True, dest="batch_size")
+    p.add_argument("--batches", type=_int_at_least(1), default=1024)
+    p.add_argument("--batch-size", type=_int_at_least(2), required=True, dest="batch_size")
     p.add_argument("--l1", type=float, default=0.0)
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--jobs", type=_int_at_least(1), default=None)
@@ -345,21 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sin-demo", help="nonlinear sin(x) regression demo")
     p.add_argument("--alpha", type=float, default=1.2e-7, help="L1 strength")
-    p.add_argument("--records", type=int, default=32)
-    p.add_argument("--max-power", type=int, default=15, dest="max_power")
+    p.add_argument("--records", type=_int_at_least(2), default=32)
+    p.add_argument("--max-power", type=_int_at_least(3), default=15, dest="max_power",
+                   help="at least 3, for the reported W3")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--out", default=_output_path("sin_demo.json"))
     p.add_argument("--curve-csv", default=None, dest="curve_csv")
     p.set_defaults(func=cmd_sin_demo)
 
     p = sub.add_parser("noise-sweep", help="ensemble training across noise levels")
-    p.add_argument("--rows", type=int, default=1024)
+    p.add_argument("--rows", type=_int_at_least(2), default=1024)
     p.add_argument("--weights", type=_parse_floats, default=[1, 2, 3, 4, 5, 6])
     p.add_argument("--noise-levels", type=_parse_floats, default=[0.0, 0.1],
                    dest="noise_levels")
     p.add_argument("--batch-sizes", type=_parse_ints, default=[10, 20, 40, 60, 100, 150],
                    dest="batch_sizes")
-    p.add_argument("--batches", type=int, default=1024)
+    p.add_argument("--batches", type=_int_at_least(1), default=1024)
     p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_output_path("noise_sweep.json"))
@@ -371,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--replications", type=_int_at_least(2), default=100,
                    help="at least 2, so the error variance is defined")
-    p.add_argument("--snapshots", type=int, default=None,
-                   help="override the calibrated snapshot budget")
+    p.add_argument("--snapshots", type=_int_at_least(SHADOW_GROUPS), default=None,
+                   help="override the calibrated snapshot budget; at least one per "
+                        "median-of-means group")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_output_path("shadow_study.json"))
     p.set_defaults(func=cmd_shadow_study)
@@ -380,13 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resources", help="gate/qubit/shot-cost tables")
     p.add_argument("--rows-list", type=_parse_ints, default=[16, 32, 64, 128, 256, 512, 1024],
                    dest="rows_list")
-    p.add_argument("--features", type=int, default=6)
-    p.add_argument("--bits", type=int, default=8, help="digitization bits")
+    p.add_argument("--features", type=_int_at_least(1), default=6)
+    p.add_argument("--bits", type=_int_at_least(1), default=8, help="digitization bits")
     p.add_argument("--gate-model", choices=resources.GATE_MODELS,
                    default=resources.GLOBAL_ANALOG, dest="gate_model")
     p.add_argument("--out", default=_output_path("resources.json"))
     p.add_argument("--table-csv", default=None, dest="table_csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_resources)
 
     return parser

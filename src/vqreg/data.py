@@ -65,21 +65,15 @@ class StandardizedTable:
 
     ``values`` satisfies: every column sums to zero and the total squared
     sum is 1.  ``column_scales`` are the per-column multipliers applied
-    before the global division by ``global_norm``; raw-space weights are
-    recovered as ``W_raw_m = W_m * column_scales[m] / column_scales[0]``.
-    ``variance_ratio`` is the mean feature-to-response energy ratio V,
-    ``f_factor = M * V`` and ``c0 = 1 / (1 + F)`` is the null-model cost
-    (for cos^2 phi_0 = 1).
+    before the global normalization; raw-space weights are recovered as
+    ``W_raw_m = W_m * column_scales[m] / column_scales[0]``.  ``c0 =
+    1 / (1 + F)`` is the null-model cost (for cos^2 phi_0 = 1), where ``F =
+    M * V`` and ``V`` is the mean feature-to-response energy ratio.
     """
 
     values: np.ndarray
-    column_means: np.ndarray
     column_scales: np.ndarray
-    global_norm: float
-    variance_ratio: float
-    f_factor: float
     c0: float
-    equalized: bool
 
     @property
     def num_rows(self) -> int:
@@ -124,18 +118,8 @@ def standardize(raw: RawTable, equalize_columns: bool = True) -> StandardizedTab
 
     energies = (normalized**2).sum(axis=0)
     v_ratio = float(energies[1:].mean() / energies[0])
-    m_feats = raw.num_features
-    f_factor = m_feats * v_ratio
-    return StandardizedTable(
-        values=normalized,
-        column_means=means,
-        column_scales=scales,
-        global_norm=global_norm,
-        variance_ratio=v_ratio,
-        f_factor=f_factor,
-        c0=1.0 / (1.0 + f_factor),
-        equalized=equalize_columns,
-    )
+    f_factor = raw.num_features * v_ratio
+    return StandardizedTable(values=normalized, column_scales=scales, c0=1.0 / (1.0 + f_factor))
 
 
 @dataclass(frozen=True)

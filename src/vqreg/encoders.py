@@ -53,7 +53,6 @@ class EncodingLayout:
     scheme: str
     num_rows: int
     num_features: int
-    n_bits: int | None = None
     memory_qubit_count: int = 0
 
     def __post_init__(self):
@@ -101,27 +100,20 @@ class PreparedState:
     """A data state ready for the regression map.
 
     ``state`` spans only the data qubits.  For post-selected preparations
-    it is the **unnormalized** conditional state, and
-    ``success_probability`` equals its squared norm; exact preparations
-    carry unit norm and success probability 1.
+    it is the **unnormalized** conditional state, whose squared norm is the
+    success probability; exact preparations carry unit norm.
     """
 
     state: StateVector
     layout: EncodingLayout
-    success_probability: float
-
-    def normalized(self) -> "PreparedState":
-        return PreparedState(self.state.renormalized(), self.layout, self.success_probability)
 
 
-def make_layout(scheme: str, num_rows: int, num_features: int, n_bits: int | None = None,
-                with_memory: bool = False) -> EncodingLayout:
-    mem = 0
-    if with_memory:
-        if n_bits is None:
-            raise ValueError("memory layout requires n_bits")
-        mem = num_rows * (num_features + 1) * n_bits
-    return EncodingLayout(scheme, num_rows, num_features, n_bits, mem)
+def make_layout(scheme: str, num_rows: int, num_features: int,
+                memory_bits: int = 0) -> EncodingLayout:
+    """Layout of a ``num_rows x (num_features + 1)`` table, with a quantum
+    memory of ``memory_bits`` qubits per cell (none by default)."""
+    return EncodingLayout(scheme, num_rows, num_features,
+                          num_rows * (num_features + 1) * memory_bits)
 
 
 def _check_simulable(layout: EncodingLayout) -> None:
@@ -139,7 +131,7 @@ def prepare_exact(std: StandardizedTable, scheme: str = COMPACT_BINARY) -> Prepa
     _check_simulable(layout)
     amps = np.zeros(1 << layout.data_qubit_count, dtype=np.complex128)
     amps[layout.code_basis_indices().reshape(-1)] = std.values.reshape(-1)
-    return PreparedState(StateVector(layout.data_qubit_count, amps), layout, 1.0)
+    return PreparedState(StateVector(layout.data_qubit_count, amps), layout)
 
 
 def chain_angles(amplitudes: np.ndarray) -> np.ndarray:
@@ -178,7 +170,7 @@ def prepare_one_hot_chain(std: StandardizedTable) -> PreparedState:
     for j, theta in enumerate(thetas):
         state = apply_controlled_ry(state, control=j, target=j + 1, theta=theta)
         state = apply_cnot(state, control=j + 1, target=j)
-    return PreparedState(state, layout, 1.0)
+    return PreparedState(state, layout)
 
 
 def _compact_from_phases(layout: EncodingLayout, x: np.ndarray) -> PreparedState:
@@ -194,7 +186,7 @@ def _compact_from_phases(layout: EncodingLayout, x: np.ndarray) -> PreparedState
     if prob <= 0.0:
         raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
     # fix the overall phase (-i from the projection) so code amplitudes are real
-    return PreparedState(StateVector(layout.n_k, 1j * conditional.amplitudes), layout, prob)
+    return PreparedState(StateVector(layout.n_k, 1j * conditional.amplitudes), layout)
 
 
 def memory_free_compact(dig: DigitizedTable) -> PreparedState:
@@ -203,7 +195,7 @@ def memory_free_compact(dig: DigitizedTable) -> PreparedState:
     digitized values.  The returned conditional state has amplitudes
     proportional to ``sin(x_k)`` and squared norm equal to the success
     probability."""
-    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features, dig.n_bits)
+    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features)
     return _compact_from_phases(
         layout, dig.x_tilde.reshape(dig.num_rows, dig.num_features + 1))
 
@@ -217,8 +209,7 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
     memory register (never entangled with the data register) is traced
     out by slicing its basis state.
     """
-    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features, dig.n_bits,
-                         with_memory=True)
+    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features, dig.n_bits)
     k_cells = layout.num_cells
     n = 1 + layout.n_k + layout.memory_qubit_count
     if n > _MAX_SIM_QUBITS:
@@ -259,4 +250,4 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
         raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
     # memory register is in a basis state: slice its block
     block = without_anc.amplitudes[(mem_pattern << layout.n_k) + qpu]
-    return PreparedState(StateVector(layout.n_k, 1j * block), layout, prob)
+    return PreparedState(StateVector(layout.n_k, 1j * block), layout)

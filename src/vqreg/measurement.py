@@ -25,12 +25,10 @@ from .data import StandardizedTable
 from .encoders import ONE_HOT, EncodingLayout
 from .statevector import StateVector, apply_hadamard, index_bits, sample_indices
 
-ESTIMATOR_COMPACT_X = "compact-x-basis"
-ESTIMATOR_ONE_HOT_GROUPED = "grouped-pauli"
-ESTIMATOR_SHADOWS = "pauli-shadows"
-
 #: median-of-means failure probability of the shadow estimator
 SHADOW_FAILURE_PROB = 0.05
+#: median-of-means group count of the shadow estimator
+SHADOW_GROUPS = max(1, int(np.ceil(2.0 * np.log(1.0 / SHADOW_FAILURE_PROB))))
 
 
 class LayoutMismatchError(ValueError):
@@ -40,18 +38,8 @@ class LayoutMismatchError(ValueError):
 @dataclass(frozen=True)
 class CostEstimate:
     value: float
-    estimator: str
     shots: int
     std_error: float
-    readout_delta: float = 0.0
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class ModelMetrics:
-    cost: float
-    c0: float
-    r_squared: float
 
 
 @dataclass(frozen=True)
@@ -91,7 +79,7 @@ class ShadowConfig:
 
     @property
     def groups(self) -> int:
-        return max(1, int(np.ceil(2.0 * np.log(1.0 / SHADOW_FAILURE_PROB))))
+        return SHADOW_GROUPS
 
 
 def shadow_snapshot_budget(n_m: int, epsilon: float) -> int:
@@ -257,8 +245,7 @@ def shot_estimate_compact(
     p_hat = accept.mean()
     value = scale * p_hat
     std_error = scale * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
-    return CostEstimate(value, ESTIMATOR_COMPACT_X, shots, float(std_error),
-                        readout_delta, _seed_to_int(seed))
+    return CostEstimate(value, shots, float(std_error))
 
 
 def shot_estimate_one_hot(
@@ -314,14 +301,7 @@ def shot_estimate_one_hot(
     for w, count, factor in ((w_a, split[0], 1.0), (w_b, split[1], 0.25), (w_c, split[2], 0.25)):
         if count > 1:
             var += factor * w.var(ddof=1) / count
-    return CostEstimate(float(value), ESTIMATOR_ONE_HOT_GROUPED, shots,
-                        float(np.sqrt(var)), readout_delta, _seed_to_int(seed))
-
-
-def _seed_to_int(seed) -> int | None:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return None
+    return CostEstimate(float(value), shots, float(np.sqrt(var)))
 
 
 def pauli_shadow_estimate(
@@ -383,17 +363,16 @@ def pauli_shadow_estimate(
         std_error = float(np.std(group_means, ddof=1) / np.sqrt(groups))
     else:
         std_error = float(np.std(estimates, ddof=1) / np.sqrt(config.snapshots))
-    return CostEstimate(value, ESTIMATOR_SHADOWS, config.snapshots, std_error,
-                        0.0, _seed_to_int(config.seed))
+    return CostEstimate(value, config.snapshots, std_error)
 
 
-def model_metrics(cost: float, std: StandardizedTable, phases: PhaseVector) -> ModelMetrics:
-    """Null-model cost ``C0 = cos^2(phi_0) / (1 + F)`` and
-    ``R^2 = 1 - C/C0``."""
+def r_squared(cost: float, std: StandardizedTable, phases: PhaseVector) -> float:
+    """``R^2 = 1 - C/C0`` against the null-model cost
+    ``C0 = cos^2(phi_0) / (1 + F)``."""
     c0 = float(np.cos(phases.phis[0]) ** 2 * std.c0)
     if c0 <= 0.0:
         raise ValueError("C0 vanishes (degenerate response phase)")
-    return ModelMetrics(cost=float(cost), c0=c0, r_squared=1.0 - float(cost) / c0)
+    return 1.0 - float(cost) / c0
 
 
 def variance_identity_plus_m(cost: float, num_features: int) -> float:

@@ -54,8 +54,8 @@ def estimate(num_rows: int, num_features: int, n_bits: int, scheme: str,
         prep = layout.num_cells  # one gadget per encoded cell
         mapping = layout.num_cells if gate_model == LOCAL_DIGITAL else M + 1
     elif scheme == COMPACT_BINARY:
-        layout = make_layout(COMPACT_BINARY, L, M, n_bits,
-                             with_memory=gate_model == LOCAL_DIGITAL)
+        layout = make_layout(COMPACT_BINARY, L, M,
+                             n_bits if gate_model == LOCAL_DIGITAL else 0)
         if gate_model == LOCAL_DIGITAL:
             prep = L * M * n_bits * (1 << layout.n_k)
         elif gate_model == GLOBAL_ANALOG:

@@ -17,8 +17,8 @@ Conventions used everywhere in this package:
   ``cos(theta)|10> + sin(theta)|01>``.
 * Post-selection (:func:`postselect`) drops the measured qubit and returns
   the *unnormalized* survivor over the remaining qubits together with the
-  outcome probability; renormalization is a separate, explicit call.
-  Subnormalized states (norm <= 1) are therefore first-class.
+  outcome probability, without renormalizing it.  Subnormalized states
+  (norm <= 1) are therefore first-class.
 """
 from __future__ import annotations
 
@@ -61,11 +61,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def renormalized(self) -> "StateVector":
-        if self.norm_squared <= 0.0:
-            raise ZeroNormError("cannot renormalize a zero state")
-        return StateVector(self.num_qubits, self.amplitudes / np.sqrt(self.norm_squared))
 
 
 @dataclass(frozen=True)

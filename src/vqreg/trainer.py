@@ -48,7 +48,7 @@ from .data import (
 from .encoders import ONE_HOT, prepare_exact
 from .measurement import (
     exact_expectation,
-    model_metrics,
+    r_squared,
     shot_estimate_compact,
     shot_estimate_one_hot,
 )
@@ -77,7 +77,6 @@ class NelderMeadError(RuntimeError):
 class NelderMeadResult:
     point: np.ndarray
     value: float
-    iterations: int
     evaluations: int
     converged: bool
 
@@ -154,8 +153,7 @@ def nelder_mead(
                     values[i] = call(simplex[i])
 
     best = int(np.argmin(values))
-    return NelderMeadResult(simplex[best].copy(), float(values[best]),
-                            iterations, evaluations, converged)
+    return NelderMeadResult(simplex[best].copy(), float(values[best]), evaluations, converged)
 
 
 def _lockstep_nelder_mead(objective, ids, x0, f_tol, x_tol, max_iterations, initial_scale):
@@ -393,7 +391,6 @@ def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.
     cosines = np.concatenate(([-1.0], point))
     phases = phases_from_cosines(cosines)
     cost_value = backend(cosines)
-    metrics = model_metrics(cost_value, std, phases)
     reason = None if converged else RESTARTS_DISAGREE
     if config.cost_backend == BACKEND_SHOTS and cost_value == 0.0:
         reason = NO_SHOT_ACCEPTED
@@ -401,7 +398,7 @@ def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.
         weights=WeightVector(point),
         phases=phases,
         cost=cost_value,
-        r_squared=metrics.r_squared,
+        r_squared=r_squared(cost_value, std, phases),
         restarts_used=restarts_used,
         converged=reason is None,
         evaluations=evaluations,

@@ -36,13 +36,13 @@ C04_TABLE = ("--input", "c04.csv", "--batches", "32")
 
 #: (name, argv)
 RUNS = (
-    ("gen-fit", ["generate", "--rows", "40", "--features", "3", "--weights", "0.5,-1.5,2",
+    ("gen-fit", ["generate", "--rows", "40", "--weights", "0.5,-1.5,2",
                  "--noise", "0.1", "--seed", "3", "--out", "fit.csv"]),
-    ("gen-noisy", ["generate", "--rows", "64", "--features", "2", "--weights", "1,2",
+    ("gen-noisy", ["generate", "--rows", "64", "--weights", "1,2",
                    "--noise", "0.1", "--seed", "5", "--out", "noisy.csv"]),
-    ("gen-tiny", ["generate", "--rows", "4", "--features", "1", "--weights", "0.8",
+    ("gen-tiny", ["generate", "--rows", "4", "--weights", "0.8",
                   "--noise", "0.1", "--seed", "2", "--out", "tiny.csv"]),
-    ("gen-c04", ["generate", "--rows", "1024", "--features", "6", "--weights", "1,2,3,4,5,6",
+    ("gen-c04", ["generate", "--rows", "1024", "--weights", "1,2,3,4,5,6",
                  "--noise", "0.1", "--seed", "7", "--out", "c04.csv"]),
     ("fit-analytic", ["fit", *FIT_TABLE, "--out", "fit-analytic.json"]),
     ("fit-l1-raw", ["fit", *FIT_TABLE, "--l1", "1e-3", "--no-equalize",

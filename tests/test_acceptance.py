@@ -310,7 +310,7 @@ def test_c09_gradient_check():
 
 def test_c10_model_metrics():
     start = time.time()
-    from vqreg.measurement import model_metrics
+    from vqreg.measurement import r_squared
 
     rng = np.random.default_rng(6)
     ok = True
@@ -320,9 +320,9 @@ def test_c10_model_metrics():
     std = standardize(RawTable(rng.uniform(-1, 1, (12, 4))))
     phases = PhaseVector(np.array([np.pi, 0.0, 0.0, 0.0]))
     anchors = (
-        model_metrics(0.0, std, phases).r_squared == 1.0,
-        abs(model_metrics(std.c0, std, phases).r_squared) < 1e-12,
-        abs(model_metrics(4 * std.c0, std, phases).r_squared + 3.0) < 1e-12,
+        r_squared(0.0, std, phases) == 1.0,
+        abs(r_squared(std.c0, std, phases)) < 1e-12,
+        abs(r_squared(4 * std.c0, std, phases) + 3.0) < 1e-12,
     )
     ok = ok and all(anchors)
     elapsed = time.time() - start

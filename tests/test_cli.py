@@ -20,7 +20,7 @@ def run(*argv):
 
 def test_generate_writes_table(tmp_path):
     out = tmp_path / "t.csv"
-    code = run("generate", "--rows", "200", "--features", "3", "--weights", "1,2,3",
+    code = run("generate", "--rows", "200", "--weights", "1,2,3",
                "--noise", "0.0", "--seed", "7", "--out", str(out))
     assert code == 0
     table = load_csv(out)
@@ -30,7 +30,7 @@ def test_generate_writes_table(tmp_path):
 
 def test_generate_noisy_close_to_truth(tmp_path):
     out = tmp_path / "t.csv"
-    assert run("generate", "--rows", "400", "--features", "2", "--weights", "1,2",
+    assert run("generate", "--rows", "400", "--weights", "1,2",
                "--noise", "0.1", "--seed", "1", "--out", str(out)) == 0
     w = least_squares_weights(load_csv(out).values)
     np.testing.assert_allclose(w, [1, 2], atol=0.1)
@@ -38,13 +38,13 @@ def test_generate_noisy_close_to_truth(tmp_path):
 
 def test_generate_missing_weights_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run("generate", "--rows", "10", "--features", "2")
+        run("generate", "--rows", "10")
     assert exc.value.code == 2
 
 
 def test_fit_matches_least_squares(tmp_path):
     table_path = tmp_path / "t.csv"
-    run("generate", "--rows", "120", "--features", "3", "--weights", "0.5,-1.5,2.0",
+    run("generate", "--rows", "120", "--weights", "0.5,-1.5,2.0",
         "--seed", "3", "--out", str(table_path))
     out = tmp_path / "fit.json"
     code = run("fit", "--input", str(table_path), "--backend", "analytic",
@@ -59,7 +59,7 @@ def test_fit_matches_least_squares(tmp_path):
 
 def test_ensemble_runs_are_byte_identical(tmp_path):
     table_path = tmp_path / "t.csv"
-    run("generate", "--rows", "128", "--features", "2", "--weights", "1,2",
+    run("generate", "--rows", "128", "--weights", "1,2",
         "--seed", "5", "--out", str(table_path))
     out = tmp_path / "ensemble.json"
     outs = []
@@ -112,6 +112,19 @@ def test_shadow_study_smoke(tmp_path):
     ("ensemble", "--input", "t.csv", "--batch-size", "4", "--jobs", "0"),
     ("noise-sweep", "--rows", "16", "--weights", "1", "--batch-sizes", "4",
      "--batches", "2", "--jobs", "-3"),
+    ("ensemble", "--input", "t.csv", "--batch-size", "4", "--batches", "0"),
+    ("ensemble", "--input", "t.csv", "--batch-size", "0"),
+    ("ensemble", "--input", "t.csv", "--batch-size", "1"),
+    ("shadow-study", "--snapshots", "3"),
+    ("fit", "--input", "t.csv", "--backend", "shots", "--shots", "0"),
+    ("generate", "--rows", "1", "--weights", "1"),
+    ("noise-sweep", "--rows", "1"),
+    ("noise-sweep", "--batches", "0"),
+    ("sin-demo", "--records", "1"),
+    ("sin-demo", "--max-power", "0"),
+    ("sin-demo", "--max-power", "2"),
+    ("resources", "--features", "0"),
+    ("resources", "--bits", "0"),
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
@@ -119,6 +132,19 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
         run(*argv, "--out", str(out))
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--rows", "4", "--features", "5", "--weights", "1,2"),
+    ("resources", "--seed", "3"),
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -171,7 +197,7 @@ def test_fit_on_a_constant_column_is_a_data_error(tmp_path, capsys):
 
 def test_shots_fit_that_accepts_no_shot_is_not_converged(tmp_path, capsys):
     table = tmp_path / "t.csv"
-    run("generate", "--rows", "16", "--features", "2", "--weights", "0.5,-0.3",
+    run("generate", "--rows", "16", "--weights", "0.5,-0.3",
         "--noise", "0.05", "--seed", "6", "--out", str(table))
     out = tmp_path / "fit.json"
     code = run("fit", "--input", str(table), "--backend", "shots", "--shots", "2000",
@@ -185,7 +211,7 @@ def test_ensemble_warns_about_unconverged_batches(tmp_path, capsys, monkeypatch)
     import vqreg.cli as cli
 
     table = tmp_path / "t.csv"
-    run("generate", "--rows", "64", "--features", "2", "--weights", "1,2",
+    run("generate", "--rows", "64", "--weights", "1,2",
         "--noise", "0.1", "--seed", "5", "--out", str(table))
     out = tmp_path / "ensemble.json"
     args = ("ensemble", "--input", str(table), "--batches", "8", "--batch-size", "16",

@@ -37,7 +37,6 @@ def test_standardize_basic_contracts():
     assert abs((std.values**2).sum() - 1.0) < 1e-10
     # equal per-column energy 1/(M+1)
     np.testing.assert_allclose((std.values**2).sum(axis=0), 1.0 / 7.0, atol=1e-10)
-    assert abs(std.f_factor - 6.0) < 1e-12
     assert abs(std.c0 - 1.0 / 7.0) < 1e-12
 
 

@@ -7,6 +7,7 @@ from vqreg.data import DigitizedTable, RawTable, digitize, standardize
 from vqreg.encoders import (
     COMPACT_BINARY,
     ONE_HOT,
+    PreparedState,
     ZeroSuccessProbabilityError,
     chain_angles,
     make_layout,
@@ -17,22 +18,20 @@ from vqreg.encoders import (
 )
 from vqreg.data import StandardizedTable
 from vqreg.measurement import exact_expectation
+from vqreg.statevector import StateVector
 
 
 def table_from_values(values):
     """StandardizedTable wrapper for an already-normalized amplitude matrix."""
     values = np.asarray(values, dtype=np.float64)
     m = values.shape[1] - 1
-    return StandardizedTable(
-        values=values,
-        column_means=np.zeros(m + 1),
-        column_scales=np.ones(m + 1),
-        global_norm=1.0,
-        variance_ratio=1.0,
-        f_factor=float(m),
-        c0=1.0 / (1.0 + m),
-        equalized=True,
-    )
+    return StandardizedTable(values=values, column_scales=np.ones(m + 1), c0=1.0 / (1.0 + m))
+
+
+def unit_norm(prep):
+    """The post-selected preparation scaled to unit norm."""
+    amps = prep.state.amplitudes / np.sqrt(prep.state.norm_squared)
+    return PreparedState(StateVector(prep.state.num_qubits, amps), prep.layout)
 
 
 def random_std(num_rows, num_features, seed):
@@ -66,7 +65,6 @@ def test_one_hot_exact_two_by_two():
     for j in range(4):
         assert abs(amps[1 << j] - 0.5) < 1e-15
     assert abs(prep.state.norm_squared - 1.0) < 1e-12
-    assert prep.success_probability == 1.0
 
 
 def test_compact_exact_two_by_two():
@@ -129,26 +127,19 @@ def test_memory_free_amplitudes_are_sin_of_digitized():
     expected = np.sin(dig.x_tilde) / 2.0  # 1/sqrt(K) with K = 4
     np.testing.assert_allclose(prep.state.amplitudes.real, expected, atol=1e-12)
     np.testing.assert_allclose(prep.state.amplitudes.imag, 0.0, atol=1e-12)
-    assert abs(prep.success_probability - np.sum(np.sin(dig.x_tilde) ** 2) / 4.0) < 1e-12
+    assert abs(prep.state.norm_squared - np.sum(np.sin(dig.x_tilde) ** 2) / 4.0) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_memory_register_equivalence(num_rows, num_features, n_bits, seed):
-    layout = make_layout(COMPACT_BINARY, num_rows, num_features, n_bits, with_memory=True)
+    layout = make_layout(COMPACT_BINARY, num_rows, num_features, n_bits)
     assume(1 + layout.n_k + layout.memory_qubit_count <= 18)
     dig = digitize(random_std(num_rows, num_features, seed), n_bits)
     mf = memory_free_compact(dig)
     qm = prepare_compact_with_memory(dig)
     np.testing.assert_allclose(mf.state.amplitudes, qm.state.amplitudes, atol=1e-12)
-    assert abs(mf.success_probability - qm.success_probability) < 1e-12
-
-
-def test_post_selection_consistency():
-    std = random_std(4, 3, 5)
-    dig = digitize(std, 6)
-    prep = memory_free_compact(dig)
-    assert abs(prep.state.norm_squared - prep.success_probability) < 1e-12
+    assert abs(mf.state.norm_squared - qm.state.norm_squared) < 1e-12
 
 
 def test_all_zero_table_fails_post_selection():
@@ -166,8 +157,8 @@ def test_single_nonzero_cell():
                          base.delta_thetas, 2, 1)
     prep = memory_free_compact(dig)
     t_dig = dig.x_tilde[0]
-    assert abs(prep.success_probability - np.sin(t_dig) ** 2 / 4.0) < 1e-12
-    conditional = prep.state.renormalized().amplitudes
+    assert abs(prep.state.norm_squared - np.sin(t_dig) ** 2 / 4.0) < 1e-12
+    conditional = prep.state.amplitudes / np.sqrt(prep.state.norm_squared)
     np.testing.assert_allclose(np.abs(conditional), [1, 0, 0, 0], atol=1e-12)
 
 
@@ -179,11 +170,12 @@ def test_success_probability_scales_inversely_with_rows():
         prep = memory_free_compact(dig)
         k_pad = 1 << prep.layout.n_k
         # exact simulated value vs the mean-square approximation sum(x~^2) / K
-        assert abs(prep.success_probability - np.sum(np.sin(dig.x_tilde) ** 2) / k_pad) < 1e-12
+        success = prep.state.norm_squared
+        assert abs(success - np.sum(np.sin(dig.x_tilde) ** 2) / k_pad) < 1e-12
         # the x~^2 approximation overshoots by the sin distortion only
         mean_square = np.sum(dig.x_tilde**2) / k_pad
-        assert 0.8 < prep.success_probability / mean_square <= 1.0
-        probs[num_rows] = prep.success_probability
+        assert 0.8 < success / mean_square <= 1.0
+        probs[num_rows] = success
     assert probs[4] / probs[8] == pytest.approx(2.0, rel=0.25)
     assert probs[8] / probs[16] == pytest.approx(2.0, rel=0.25)
 
@@ -217,12 +209,12 @@ def test_digitization_error_propagation():
     max_cube = np.max(np.abs(std.values)) ** 3 / 6.0
     errors = {}
     for n_bits in (2, 4, 8, 12):
-        prep = memory_free_compact(digitize(std, n_bits)).normalized()
+        prep = unit_norm(memory_free_compact(digitize(std, n_bits)))
         errors[n_bits] = abs(map_and_measure(prep, phases) - exact)
         assert errors[n_bits] <= 5.0 * (2.0**-n_bits + max_cube)
     assert errors[12] <= errors[2] + 1e-12
     # infinite-precision limit: only the sin() distortion remains
-    prep_inf = memory_free_compact(digitize(std, 40)).normalized()
+    prep_inf = unit_norm(memory_free_compact(digitize(std, 40)))
     assert abs(map_and_measure(prep_inf, phases) - exact) <= 5.0 * max_cube
 
 

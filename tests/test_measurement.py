@@ -10,9 +10,9 @@ from vqreg.measurement import (
     ShadowConfig,
     exact_expectation,
     measured_qubit_count,
-    model_metrics,
     operator_identity_check,
     pauli_shadow_estimate,
+    r_squared,
     readout_attenuation,
     required_shots,
     shadow_snapshot_budget,
@@ -218,7 +218,8 @@ def test_shadow_norm_rescaling():
     psi0, p = apply_regression_map(prep, phases)
     exact = exact_expectation(psi0, prep.layout)
     cfg = ShadowConfig(snapshots=40000, locality=prep.layout.n_m, seed=9)
-    est = pauli_shadow_estimate(psi0.renormalized(), prep.layout, cfg)
+    normalized = StateVector(psi0.num_qubits, psi0.amplitudes / np.sqrt(psi0.norm_squared))
+    est = pauli_shadow_estimate(normalized, prep.layout, cfg)
     assert abs(est.value * p - exact) < 0.05
 
 
@@ -256,9 +257,9 @@ def test_model_metrics_anchor_points():
     std = random_std(6, 3, 10)
     phases = PhaseVector(np.array([np.pi, 0.1, 0.2, 0.3]))
     c0 = std.c0
-    assert model_metrics(0.0, std, phases).r_squared == 1.0
-    assert abs(model_metrics(c0, std, phases).r_squared) < 1e-12
-    assert abs(model_metrics(4 * c0, std, phases).r_squared + 3.0) < 1e-12
+    assert r_squared(0.0, std, phases) == 1.0
+    assert abs(r_squared(c0, std, phases)) < 1e-12
+    assert abs(r_squared(4 * c0, std, phases) + 3.0) < 1e-12
     for m_feats in range(1, 9):
         s = random_std(12, m_feats, 11 + m_feats)
         assert abs(s.c0 - 1.0 / (1.0 + m_feats)) < 1e-10

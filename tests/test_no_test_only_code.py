@@ -6,6 +6,13 @@ package ``__init__``.  A reference is a name, an attribute or an imported
 name in the syntax tree, so docstrings and comments do not count; tests do
 not count either.  ``ALLOWED`` lists the helpers that stay public without
 a caller, each because a paper claim or an acceptance criterion rests on it.
+
+Every public method, property and dataclass field of a ``src/vqreg`` class
+must likewise be read as an attribute (``obj.name``) somewhere in ``src/``
+or ``bench/``.  ``ALLOWED_MEMBERS`` lists the exceptions: a class name
+excuses all of its members, ``Class.member`` one member.  The match is by
+name only, so it cannot see an unread member whose name another class's
+read member shares (say a ``seed`` field beside a read ``config.seed``).
 """
 import ast
 import pathlib
@@ -22,6 +29,13 @@ ALLOWED = {
     "prepare_compact_with_memory": "the gate-level memory-driven oracle of the fused compact layer",
 }
 
+ALLOWED_MEMBERS = {
+    "ShotBudget": "C02 reads both shot budgets and both variances",
+    "OperatorIdentityReport": "C02 reads the dense operator, its square and both deviations",
+    "ResourceEstimate": "cmd_resources writes every field out with vars()",
+    "ShadowConfig.locality": "bench/workloads.py passes it positionally",
+}
+
 
 def _public_definitions() -> dict:
     defs = {}
@@ -33,9 +47,43 @@ def _public_definitions() -> dict:
     return defs
 
 
+def _public_members() -> dict:
+    """``{"Class.member": module}`` for the public methods, properties and
+    annotated fields of every top-level class."""
+    members = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members[f"{node.name}.{name}"] = path.name
+    return members
+
+
+def _sources() -> list:
+    return sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _read_attributes() -> set:
+    return {node.attr for path in _sources()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _member_allowed(member: str) -> bool:
+    return member in ALLOWED_MEMBERS or member.split(".")[0] in ALLOWED_MEMBERS
+
+
 def _referenced_names() -> set:
     names = set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+    for path in _sources():
         if path == PACKAGE / "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -58,3 +106,18 @@ def test_every_public_helper_has_a_caller_outside_the_tests():
 def test_allowlisted_helpers_exist_and_still_need_the_allowance():
     defs, referenced = _public_definitions(), _referenced_names()
     assert all(name in defs and name not in referenced for name in ALLOWED)
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    read = _read_attributes()
+    unread = sorted(f"{module}:{member}" for member, module in _public_members().items()
+                    if member.split(".")[1] not in read and not _member_allowed(member))
+    assert not unread, f"public members that nothing but tests reads: {unread}"
+
+
+def test_allowlisted_members_exist_and_still_need_the_allowance():
+    members, read = _public_members(), _read_attributes()
+    for entry in ALLOWED_MEMBERS:
+        covered = [m for m in members if m == entry or m.split(".")[0] == entry]
+        assert covered, f"{entry} names no public member"
+        assert any(m.split(".")[1] not in read for m in covered), f"{entry} is read"
