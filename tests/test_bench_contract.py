@@ -28,7 +28,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402
 
 CONTRACT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_contract.json")
-OPS = range(4)
+OPS = range(12)
 SEEDS = (7, 29)
 
 
