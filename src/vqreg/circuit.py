@@ -93,11 +93,7 @@ def regression_map_state(prep: PreparedState, phases: PhaseVector) -> StateVecto
             f"phase vector has {phases.num_features} features, layout {layout.num_features}"
         )
     anc = layout.ancilla
-    dim = prep.state.amplitudes.size
-    amps = np.zeros(2 * dim, dtype=np.complex128)
-    amps[:dim] = prep.state.amplitudes
-    state = apply_hadamard(StateVector(layout.data_qubit_count + 1, amps), anc)
-    state = apply_signed_phases(state, layout.code_basis_indices(), phases.phis, anc)
+    state = apply_signed_phases(prep.ancilla_plus, layout.code_basis_indices(), phases.phis, anc)
     return apply_hadamard(state, anc)
 
 

@@ -70,13 +70,6 @@ def _parse_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
@@ -90,6 +83,12 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _parse_ints(low: int):
+    """argparse type: comma-separated integers, each no smaller than ``low``."""
+    parse_one = _int_at_least(low)
+    return lambda text: [parse_one(t) for t in text.split(",") if t.strip() != ""]
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=_parse_floats, default=[1, 2, 3, 4, 5, 6])
     p.add_argument("--noise-levels", type=_parse_floats, default=[0.0, 0.1],
                    dest="noise_levels")
-    p.add_argument("--batch-sizes", type=_parse_ints, default=[10, 20, 40, 60, 100, 150],
+    p.add_argument("--batch-sizes", type=_parse_ints(2), default=[10, 20, 40, 60, 100, 150],
                    dest="batch_sizes")
     p.add_argument("--batches", type=_int_at_least(1), default=1024)
     p.add_argument("--jobs", type=_int_at_least(1), default=None)
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("shadow-study", help="random-Pauli shadow coverage study")
-    p.add_argument("--col-qubits", type=_parse_ints, default=[1, 2], dest="col_qubits")
+    p.add_argument("--col-qubits", type=_parse_ints(1), default=[1, 2], dest="col_qubits")
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--replications", type=_int_at_least(2), default=100,
                    help="at least 2, so the error variance is defined")
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shadow_study)
 
     p = sub.add_parser("resources", help="gate/qubit/shot-cost tables")
-    p.add_argument("--rows-list", type=_parse_ints, default=[16, 32, 64, 128, 256, 512, 1024],
+    p.add_argument("--rows-list", type=_parse_ints(1), default=[16, 32, 64, 128, 256, 512, 1024],
                    dest="rows_list")
     p.add_argument("--features", type=_int_at_least(1), default=6)
     p.add_argument("--bits", type=_int_at_least(1), default=8, help="digitization bits")
@@ -397,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "backend", None) == "shots" and args.estimator == "one-hot" and args.shots < 3:
+        parser.error(f"--shots must be at least 3 for the one-hot estimator, got {args.shots}")
     try:
         return args.func(args)
     except (TableFormatError, ZeroVarianceColumnError) as exc:

@@ -21,6 +21,7 @@ describes it, and is the oracle the fused layer is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .statevector import (
     apply_cnot,
     apply_controlled_diagonal_phase,
     apply_controlled_ry,
+    apply_hadamard,
     apply_signed_phases,
     basis_state,
     postselect,
@@ -59,40 +61,48 @@ class EncodingLayout:
         if self.scheme not in (ONE_HOT, COMPACT_BINARY):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    @property
+    @cached_property
     def n_l(self) -> int:
         return max(1, int(np.ceil(np.log2(self.num_rows))))
 
-    @property
+    @cached_property
     def n_m(self) -> int:
         return max(1, int(np.ceil(np.log2(self.num_features + 1))))
 
-    @property
+    @cached_property
     def n_k(self) -> int:
         return self.n_l + self.n_m
 
-    @property
+    @cached_property
     def num_cells(self) -> int:
         return self.num_rows * (self.num_features + 1)
 
-    @property
+    @cached_property
     def data_qubit_count(self) -> int:
         if self.scheme == ONE_HOT:
             return self.num_cells
         return self.n_k
 
-    @property
+    @cached_property
     def ancilla(self) -> int:
         # circuits place the fresh ancilla above the data register
         return self.data_qubit_count
 
     def code_basis_indices(self) -> np.ndarray:
-        """Basis indices of all real cells, row-major, shape (L, M+1)."""
+        """Basis indices of all real cells, row-major, shape (L, M+1); one
+        read-only array per layout."""
+        return self._code_basis_indices
+
+    @cached_property
+    def _code_basis_indices(self) -> np.ndarray:
         rows = np.arange(self.num_rows)[:, None]
         cols = np.arange(self.num_features + 1)[None, :]
         if self.scheme == ONE_HOT:
-            return np.int64(1) << (cols + rows * (self.num_features + 1))
-        return cols + (rows << self.n_m)
+            indices = np.int64(1) << (cols + rows * (self.num_features + 1))
+        else:
+            indices = cols + (rows << self.n_m)
+        indices.flags.writeable = False
+        return indices
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,13 @@ class PreparedState:
 
     state: StateVector
     layout: EncodingLayout
+
+    @cached_property
+    def ancilla_plus(self) -> StateVector:
+        """``state`` with the map's ancilla attached above it in ``|+>``."""
+        amps = np.concatenate([self.state.amplitudes, np.zeros_like(self.state.amplitudes)])
+        return apply_hadamard(StateVector(self.layout.data_qubit_count + 1, amps),
+                              self.layout.ancilla)
 
 
 def make_layout(scheme: str, num_rows: int, num_features: int,

@@ -23,7 +23,7 @@ import numpy as np
 from .circuit import PhaseVector
 from .data import StandardizedTable
 from .encoders import ONE_HOT, EncodingLayout
-from .statevector import StateVector, apply_hadamard, index_bits, sample_indices
+from .statevector import StateVector, _hadamard_in_place, index_bits, sample_indices
 
 #: median-of-means failure probability of the shadow estimator
 SHADOW_FAILURE_PROB = 0.05
@@ -107,7 +107,7 @@ def code_amplitudes(psi0: StateVector, layout: EncodingLayout) -> np.ndarray:
             f"state has {psi0.num_qubits} qubits, layout wants {layout.data_qubit_count}"
         )
     amps = psi0.amplitudes[layout.code_basis_indices()]
-    code_weight = float(np.sum(np.abs(amps) ** 2))
+    code_weight = float((np.abs(amps) ** 2).sum())
     if psi0.norm_squared - code_weight > 1e-9 * max(1.0, psi0.norm_squared):
         raise LayoutMismatchError("state has weight outside the layout's code space")
     return amps
@@ -118,7 +118,7 @@ def exact_expectation(psi0: StateVector, layout: EncodingLayout) -> float:
     ``sum_l |sum_m a_lm|^2``."""
     amps = code_amplitudes(psi0, layout)
     row_sums = amps.sum(axis=1)
-    return float(np.sum(np.abs(row_sums) ** 2))
+    return float((np.abs(row_sums) ** 2).sum())
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,14 @@ def _rotate_to_pauli_basis(state: StateVector, x_mask: int, y_mask: int) -> Stat
     ``y_mask`` to the Y basis: S-dagger on every Y qubit as one diagonal
     multiply by ``(-i)**popcount(index & y_mask)``, then a Hadamard on every
     X or Y qubit in ascending order."""
+    amps = state.amplitudes.copy()
     if y_mask:
-        k = np.bitwise_count(np.arange(state.amplitudes.size, dtype=np.int64) & y_mask)
-        state = StateVector(state.num_qubits, state.amplitudes * _MINUS_I_POWERS[k & 3])
+        k = np.bitwise_count(np.arange(amps.size, dtype=np.int64) & y_mask)
+        amps *= _MINUS_I_POWERS[k & 3]
     for q in range(state.num_qubits):
         if ((x_mask | y_mask) >> q) & 1:
-            state = apply_hadamard(state, q)
-    return state
+            _hadamard_in_place(amps, state.num_qubits, q)
+    return StateVector(state.num_qubits, amps)
 
 
 def _check_delta(delta: float) -> None:

@@ -22,7 +22,8 @@ Conventions used everywhere in this package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +41,12 @@ class ZeroNormError(ValueError):
 class StateVector:
     """Immutable dense state over ``num_qubits`` little-endian qubits.
 
-    ``amplitudes`` has length ``2**num_qubits``.  ``norm_squared`` is cached
-    at construction; it may be < 1 for post-selected states.
+    ``amplitudes`` has length ``2**num_qubits``.  ``norm_squared`` is
+    computed on first read; it may be < 1 for post-selected states.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
-    norm_squared: float = field(init=False)
 
     def __post_init__(self):
         if self.num_qubits < 0:
@@ -57,7 +57,10 @@ class StateVector:
                 f"amplitude vector has length {amps.shape}, expected {1 << self.num_qubits}"
             )
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norm_squared", float(np.vdot(amps, amps).real))
+
+    @cached_property
+    def norm_squared(self) -> float:
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -93,13 +96,18 @@ def _paired_view(amps: np.ndarray, num_qubits: int, target: int) -> np.ndarray:
     return amps.reshape(1 << (num_qubits - 1 - target), 2, 1 << target)
 
 
-def apply_hadamard(state: StateVector, target: int) -> StateVector:
-    _check_qubit(state, target)
-    amps = state.amplitudes.copy()
-    view = _paired_view(amps, state.num_qubits, target)
+def _hadamard_in_place(amps: np.ndarray, num_qubits: int, target: int) -> None:
+    """Overwrite ``amps`` with the Hadamard on ``target`` applied to it."""
+    view = _paired_view(amps, num_qubits, target)
     a0 = view[:, 0, :].copy()
     view[:, 0, :] = SQRT_HALF * (a0 + view[:, 1, :])
     view[:, 1, :] = SQRT_HALF * (a0 - view[:, 1, :])
+
+
+def apply_hadamard(state: StateVector, target: int) -> StateVector:
+    _check_qubit(state, target)
+    amps = state.amplitudes.copy()
+    _hadamard_in_place(amps, state.num_qubits, target)
     return StateVector(state.num_qubits, amps)
 
 

@@ -170,6 +170,24 @@ def test_regression_map_state_dimensions():
         regression_map_state(prep, PhaseVector(np.array([np.pi, 0.5, 0.1])))
 
 
+def test_regression_map_state_leaves_the_prepared_state_unchanged():
+    # the map starts from the cached ancilla-|+> state; every call must copy it
+    phases = PhaseVector(np.array([np.pi, 0.5, 1.3]))
+    for scheme in (ONE_HOT, COMPACT_BINARY):
+        prep = prepare_exact(random_std(2, 2, 12), scheme)
+        plus = prep.ancilla_plus.amplitudes.tobytes()
+        first = regression_map_state(prep, phases).amplitudes.tobytes()
+        assert regression_map_state(prep, phases).amplitudes.tobytes() == first
+        regression_map_state(prep, PhaseVector(np.array([0.2, 2.0, -1.0])))
+        psi0, _ = apply_regression_map(prep, phases)
+        assert regression_map_state(prep, phases).amplitudes.tobytes() == first
+        assert prep.ancilla_plus.amplitudes.tobytes() == plus
+        fresh = prepare_exact(random_std(2, 2, 12), scheme)
+        assert regression_map_state(fresh, phases).amplitudes.tobytes() == first
+        assert apply_regression_map(fresh, phases)[0].amplitudes.tobytes() == \
+            psi0.amplitudes.tobytes()
+
+
 def gate_level_map_state(prep, phases):
     """The regression map as the circuit is drawn: one signed controlled
     phase per one-hot cell qubit, or per compact column-register value."""

@@ -125,6 +125,12 @@ def test_shadow_study_smoke(tmp_path):
     ("sin-demo", "--max-power", "2"),
     ("resources", "--features", "0"),
     ("resources", "--bits", "0"),
+    ("noise-sweep", "--batch-sizes", "0"),
+    ("noise-sweep", "--batch-sizes", "10,1"),
+    ("shadow-study", "--col-qubits", "0"),
+    ("resources", "--rows-list", "16,0"),
+    ("fit", "--input", "t.csv", "--backend", "shots", "--estimator", "one-hot",
+     "--shots", "2"),
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"

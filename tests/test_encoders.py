@@ -245,3 +245,10 @@ def test_layout_geometry():
     assert one_hot.data_qubit_count == 4
     assert one_hot.code_basis_indices()[1, 0] == 1 << 2
     assert one_hot.code_basis_indices().shape == (2, 2)
+
+
+def test_code_basis_indices_are_one_read_only_array():
+    layout = make_layout(COMPACT_BINARY, 4, 3)
+    assert layout.code_basis_indices() is layout.code_basis_indices()
+    with pytest.raises(ValueError):
+        layout.code_basis_indices()[0, 0] = 5

@@ -197,6 +197,30 @@ def test_estimates_are_pinned_for_a_fixed_seed():
     assert pinned(est) == "(0.9199999999999999, 0.2188911449404323)"
 
 
+def test_estimators_leave_their_input_state_unchanged():
+    # the Pauli-basis rotations run in place on one copy; with an X-only mask
+    # (the compact setting, the one-hot X setting) a missing copy would
+    # rotate the caller's state
+    prep = prepare_exact(random_std(5, 3, 26), COMPACT_BINARY)
+    state = regression_map_state(prep, PhaseVector([np.pi, 0.4, 1.1, 2.0]))
+    before = state.amplitudes.tobytes()
+    rotated = _rotate_to_pauli_basis(state, 0b101, 0)
+    assert rotated.amplitudes.tobytes() != before
+    shot_estimate_compact(state, prep.layout, 500, 0.01, seed=1)
+    assert state.amplitudes.tobytes() == before
+
+    prep = prepare_exact(random_std(2, 2, 27), ONE_HOT)
+    state = regression_map_state(prep, PhaseVector([np.pi, 0.4, 1.1]))
+    before = state.amplitudes.tobytes()
+    shot_estimate_one_hot(state, prep.layout, 600, 0.01, seed=2)
+    assert state.amplitudes.tobytes() == before
+
+    prep = prepare_exact(random_std(4, 3, 28), COMPACT_BINARY)
+    before = prep.state.amplitudes.tobytes()
+    pauli_shadow_estimate(prep.state, prep.layout, ShadowConfig(300, 2, seed=3))
+    assert prep.state.amplitudes.tobytes() == before
+
+
 def test_shadow_estimator_unbiased():
     std = random_std(2, 1, 7)
     prep = prepare_exact(std)
