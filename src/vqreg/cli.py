@@ -5,10 +5,11 @@ noise sweeps, shadow studies, and resource tables.
 Every run echoes its fully resolved configuration (including the seed of
 every command that draws random numbers) into the JSON output, and all
 outputs are byte-identical across re-runs with the same inputs.  Exit
-codes: 0 success, 2 usage (including an out-of-range count), 3 malformed
-input data (including a constant column in the table ``fit`` trains on),
-4 I/O failure, 5 training did not converge (including an ensemble whose
-every batch failed), 1 anything else.
+codes: 0 success, 2 usage (including an out-of-range count and a NaN,
+infinite or out-of-range number), 3 malformed input data (including a
+constant column in the table ``fit`` trains on), 4 I/O failure, 5
+training did not converge (including an ensemble whose every batch
+failed), 1 anything else.
 """
 from __future__ import annotations
 
@@ -63,11 +64,22 @@ def _output_path(name: str) -> str:
     return os.path.join(base, name)
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _number(accepts=lambda v: True, bound: str = "finite"):
+    """argparse type: a finite number that ``accepts``; ``bound`` says which."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        if not (np.isfinite(value) and accepts(value)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+_NON_NEGATIVE = _number(lambda v: v >= 0.0, "finite and at least 0")
 
 
 def _int_at_least(low: int):
@@ -85,9 +97,8 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_ints(low: int):
-    """argparse type: comma-separated integers, each no smaller than ``low``."""
-    parse_one = _int_at_least(low)
+def _list_of(parse_one):
+    """argparse type: comma-separated values, each read by ``parse_one``."""
     return lambda text: [parse_one(t) for t in text.split(",") if t.strip() != ""]
 
 
@@ -309,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic linear-map table as CSV")
     p.add_argument("--rows", type=_int_at_least(2), required=True)
-    p.add_argument("--weights", type=_parse_floats, required=True,
+    p.add_argument("--weights", type=_list_of(_number()), required=True,
                    help="comma-separated generating weights, one per feature")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_NON_NEGATIVE, default=0.0,
                    help="relative weight-noise standard deviation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_output_path("synthetic.csv"))
@@ -320,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="train a single model on a CSV table")
     p.add_argument("--input", required=True)
     p.add_argument("--backend", choices=("analytic", "circuit", "shots"), default="analytic")
-    p.add_argument("--l1", type=float, default=0.0, help="L1 penalty strength")
-    p.add_argument("--l2", type=float, default=0.0, help="L2 penalty strength")
+    p.add_argument("--l1", type=_NON_NEGATIVE, default=0.0, help="L1 penalty strength")
+    p.add_argument("--l2", type=_NON_NEGATIVE, default=0.0, help="L2 penalty strength")
     p.add_argument("--shots", type=_int_at_least(1), default=4096)
-    p.add_argument("--readout-delta", type=float, default=0.0, dest="readout_delta")
+    p.add_argument("--readout-delta", type=_number(lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+                   default=0.0, dest="readout_delta")
     p.add_argument("--estimator", choices=("compact", "one-hot"), default="compact")
     p.add_argument("--no-equalize", action="store_true",
                    help="skip per-column energy equalization")
@@ -335,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--batches", type=_int_at_least(1), default=1024)
     p.add_argument("--batch-size", type=_int_at_least(2), required=True, dest="batch_size")
-    p.add_argument("--l1", type=float, default=0.0)
-    p.add_argument("--l2", type=float, default=0.0)
+    p.add_argument("--l1", type=_NON_NEGATIVE, default=0.0)
+    p.add_argument("--l2", type=_NON_NEGATIVE, default=0.0)
     p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_output_path("ensemble.json"))
@@ -344,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("sin-demo", help="nonlinear sin(x) regression demo")
-    p.add_argument("--alpha", type=float, default=1.2e-7, help="L1 strength")
+    p.add_argument("--alpha", type=_NON_NEGATIVE, default=1.2e-7, help="L1 strength")
     p.add_argument("--records", type=_int_at_least(2), default=32)
     p.add_argument("--max-power", type=_int_at_least(3), default=15, dest="max_power",
                    help="at least 3, for the reported W3")
@@ -355,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-sweep", help="ensemble training across noise levels")
     p.add_argument("--rows", type=_int_at_least(2), default=1024)
-    p.add_argument("--weights", type=_parse_floats, default=[1, 2, 3, 4, 5, 6])
-    p.add_argument("--noise-levels", type=_parse_floats, default=[0.0, 0.1],
+    p.add_argument("--weights", type=_list_of(_number()), default=[1, 2, 3, 4, 5, 6])
+    p.add_argument("--noise-levels", type=_list_of(_NON_NEGATIVE), default=[0.0, 0.1],
                    dest="noise_levels")
-    p.add_argument("--batch-sizes", type=_parse_ints(2), default=[10, 20, 40, 60, 100, 150],
-                   dest="batch_sizes")
+    p.add_argument("--batch-sizes", type=_list_of(_int_at_least(2)),
+                   default=[10, 20, 40, 60, 100, 150], dest="batch_sizes")
     p.add_argument("--batches", type=_int_at_least(1), default=1024)
     p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -368,8 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("shadow-study", help="random-Pauli shadow coverage study")
-    p.add_argument("--col-qubits", type=_parse_ints(1), default=[1, 2], dest="col_qubits")
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--col-qubits", type=_list_of(_int_at_least(1)), default=[1, 2],
+                   dest="col_qubits")
+    p.add_argument("--epsilon", type=_number(lambda v: v > 0.0, "finite and greater than 0"),
+                   default=0.2)
     p.add_argument("--replications", type=_int_at_least(2), default=100,
                    help="at least 2, so the error variance is defined")
     p.add_argument("--snapshots", type=_int_at_least(SHADOW_GROUPS), default=None,
@@ -380,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shadow_study)
 
     p = sub.add_parser("resources", help="gate/qubit/shot-cost tables")
-    p.add_argument("--rows-list", type=_parse_ints(1), default=[16, 32, 64, 128, 256, 512, 1024],
-                   dest="rows_list")
+    p.add_argument("--rows-list", type=_list_of(_int_at_least(1)),
+                   default=[16, 32, 64, 128, 256, 512, 1024], dest="rows_list")
     p.add_argument("--features", type=_int_at_least(1), default=6)
     p.add_argument("--bits", type=_int_at_least(1), default=8, help="digitization bits")
     p.add_argument("--gate-model", choices=resources.GATE_MODELS,

@@ -179,10 +179,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         w = np.asarray(self.true_weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("true_weights must be a non-empty vector")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
+        if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
+            raise ValueError("true_weights must be a non-empty vector of finite numbers")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and non-negative")
         object.__setattr__(self, "true_weights", w)
 
     @property

@@ -23,7 +23,7 @@ import numpy as np
 from .circuit import PhaseVector
 from .data import StandardizedTable
 from .encoders import ONE_HOT, EncodingLayout
-from .statevector import StateVector, _hadamard_in_place, index_bits, sample_indices
+from .statevector import StateVector, _hadamard_in_place, _paired_view, sample_indices
 
 #: median-of-means failure probability of the shadow estimator
 SHADOW_FAILURE_PROB = 0.05
@@ -174,23 +174,19 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-#: ``(-i)**k`` for ``k = 0..3``: the phase S-dagger gates leave on a basis state
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
-
-
 def _rotate_to_pauli_basis(state: StateVector, x_mask: int, y_mask: int) -> StateVector:
     """Rotate the qubits in ``x_mask`` to the X basis and those in
-    ``y_mask`` to the Y basis: S-dagger on every Y qubit as one diagonal
-    multiply by ``(-i)**popcount(index & y_mask)``, then a Hadamard on every
-    X or Y qubit in ascending order."""
+    ``y_mask`` to the Y basis: in ascending qubit order, S-dagger (the
+    ``|1>`` half times ``-1j``) on a Y qubit, then a Hadamard on an X or Y
+    qubit."""
     amps = state.amplitudes.copy()
-    if y_mask:
-        k = np.bitwise_count(np.arange(amps.size, dtype=np.int64) & y_mask)
-        amps *= _MINUS_I_POWERS[k & 3]
-    for q in range(state.num_qubits):
+    n = state.num_qubits
+    for q in range(n):
+        if (y_mask >> q) & 1:
+            _paired_view(amps, n, q)[:, 1, :] *= -1j
         if ((x_mask | y_mask) >> q) & 1:
-            _hadamard_in_place(amps, state.num_qubits, q)
-    return StateVector(state.num_qubits, amps)
+            _hadamard_in_place(amps, n, q)
+    return StateVector(n, amps)
 
 
 def _check_delta(delta: float) -> None:
@@ -282,11 +278,14 @@ def shot_estimate_one_hot(
                                 children[0:2])
     w_a = acc_a.astype(np.float64)
 
+    cols = layout.num_features + 1
+    shifts = cols * np.arange(layout.num_rows)
+
     def pair_weights(state, count, seeds):
         idx, acc = _sample_accepted(state, layout, count, readout_delta, seeds)
-        bits = index_bits(idx, range(n_data))
-        signs = 1.0 - 2.0 * bits
-        row_sums = signs.reshape(count, layout.num_rows, layout.num_features + 1).sum(axis=2)
+        # row l's sum of +-1 signs: its cells minus twice its set bits
+        ones = np.bitwise_count((idx[:, None] >> shifts) & ((1 << cols) - 1))
+        row_sums = cols - 2 * ones.astype(np.int64)
         pair_sum = ((row_sums**2).sum(axis=1) - n_data) / 2.0
         return acc * pair_sum
 
@@ -355,15 +354,12 @@ def pauli_shadow_estimate(
         rotated = _rotate_to_pauli_basis(psi0, x_mask, y_mask)
         outcomes[mask] = sample_indices(rotated, int(mask.sum()), outcome_rng)
 
-    signs = 1.0 - 2.0 * index_bits(outcomes, range(layout.n_m))
+    signs = 1.0 - 2.0 * ((outcomes[:, None] >> np.arange(layout.n_m)) & 1)
     estimates = np.prod(1.0 + 3.0 * (bases[:, :layout.n_m] == 0) * signs, axis=1)
 
     group_means = np.array([chunk.mean() for chunk in np.array_split(estimates, groups)])
     value = float(np.median(group_means))
-    if groups > 1:
-        std_error = float(np.std(group_means, ddof=1) / np.sqrt(groups))
-    else:
-        std_error = float(np.std(estimates, ddof=1) / np.sqrt(config.snapshots))
+    std_error = float(np.std(group_means, ddof=1) / np.sqrt(groups))
     return CostEstimate(value, config.snapshots, std_error)
 
 

@@ -111,37 +111,37 @@ def apply_hadamard(state: StateVector, target: int) -> StateVector:
     return StateVector(state.num_qubits, amps)
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+def _controlled_pair(state: StateVector, control: int, target: int):
+    """A copy of the amplitudes and two views of it: the control-1 half
+    with ``target`` at 0 and at 1."""
     _check_qubit(state, control)
     _check_qubit(state, target)
     if control == target:
         raise ValueError("control and target must be distinct")
     amps = state.amplitudes.copy()
-    idx = np.arange(amps.size, dtype=np.int64)
-    sel = (((idx >> control) & 1) == 1) & (((idx >> target) & 1) == 0)
-    i = idx[sel]
-    j = i | (1 << target)
-    amps[i], amps[j] = amps[j], amps[i].copy()
+    high, low = max(control, target), min(control, target)
+    # (bits above high, bit high, bits between, bit low, bits below low)
+    view = amps.reshape(1 << (state.num_qubits - 1 - high), 2, 1 << (high - low - 1), 2,
+                        1 << low)
+    if control == high:
+        return amps, view[:, 1, :, 0, :], view[:, 1, :, 1, :]
+    return amps, view[:, 0, :, 1, :], view[:, 1, :, 1, :]
+
+
+def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+    amps, a0, a1 = _controlled_pair(state, control, target)
+    a0[...], a1[...] = a1, a0.copy()
     return StateVector(state.num_qubits, amps)
 
 
 def apply_controlled_ry(state: StateVector, control: int, target: int, theta: float) -> StateVector:
     """Ry on ``target`` applied only where ``control`` is 1 (the
     state-preparation gadget is a controlled-Ry followed by a CNOT)."""
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise ValueError("control and target must be distinct")
-    amps = state.amplitudes.copy()
-    idx = np.arange(amps.size, dtype=np.int64)
-    on = (((idx >> control) & 1) == 1) & (((idx >> target) & 1) == 0)
-    i = idx[on]
-    j = i | (1 << target)
+    amps, a0, a1 = _controlled_pair(state, control, target)
     c, s = np.cos(theta), np.sin(theta)
-    a0 = amps[i]
-    a1 = amps[j]
-    amps[i] = c * a0 - s * a1
-    amps[j] = s * a0 + c * a1
+    b0 = a0.copy()
+    a0[...] = c * b0 - s * a1
+    a1[...] = s * b0 + c * a1
     return StateVector(state.num_qubits, amps)
 
 
@@ -225,9 +225,3 @@ def sample_indices(state: StateVector, shots: int, rng_seed) -> np.ndarray:
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     return rng.choice(probs.size, size=shots, p=probs)
-
-
-def index_bits(indices: np.ndarray, qubits) -> np.ndarray:
-    """Bit values of ``qubits`` for each sampled index, shape (shots, len(qubits))."""
-    q = np.asarray(list(qubits), dtype=np.int64)
-    return ((np.asarray(indices, dtype=np.int64)[:, None] >> q[None, :]) & 1).astype(np.int64)

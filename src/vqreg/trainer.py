@@ -10,13 +10,14 @@ point *is* the standardized weight vector: the backends see
 and shot backends clamp the cosines into [-1, 1] before synthesizing
 angles.
 
-:func:`fit` trains one table with the scalar :func:`nelder_mead`.
-:func:`fit_ensemble` trains all bootstrap batches of an ensemble in one
-lockstep Nelder-Mead: the batches share their shape, so their simplices
-advance together as ``(B, M+1, M)`` arrays, each warm-restart stage runs
-only the batches whose restart optima have not yet agreed, and every
-batch's weights, evaluation count, restarts and convergence flag are bit
-for bit those of :func:`fit` on that batch.  ``jobs > 1`` splits the
+One warm-restart driver, :func:`_restarts`, decides when a fit is done
+and whether it converged, and drives one of two Nelder-Mead engines on the
+penalized :func:`_objective`.  :func:`fit` runs the scalar
+:func:`nelder_mead` on one table.  :func:`fit_ensemble` runs the lockstep
+engine on all bootstrap batches at once: their simplices advance together
+as ``(B, M+1, M)`` arrays, the analytic cost is one stacked product, and
+every batch's weights, evaluation count, restarts and convergence flag are
+bit for bit those of :func:`fit` on that batch.  ``jobs > 1`` splits the
 batches into ``jobs`` contiguous chunks, one lockstep run per process; the
 results do not depend on the split.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -78,7 +80,6 @@ class NelderMeadResult:
     point: np.ndarray
     value: float
     evaluations: int
-    converged: bool
 
 
 def nelder_mead(
@@ -114,16 +115,13 @@ def nelder_mead(
 
     values = np.array([call(x) for x in simplex])
     iterations = 0
-    converged = False
     while iterations < max_iterations:
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
         values = values[order]
         if values[-1] - values[0] <= f_tol:
-            converged = True
             break
         if np.max(np.abs(simplex[1:] - simplex[0])) <= x_tol:
-            converged = True
             break
         iterations += 1
 
@@ -153,7 +151,7 @@ def nelder_mead(
                     values[i] = call(simplex[i])
 
     best = int(np.argmin(values))
-    return NelderMeadResult(simplex[best].copy(), float(values[best]), evaluations, converged)
+    return NelderMeadResult(simplex[best].copy(), float(values[best]), evaluations)
 
 
 def _lockstep_nelder_mead(objective, ids, x0, f_tol, x_tol, max_iterations, initial_scale):
@@ -271,8 +269,8 @@ class RegularizationParams:
     beta_l2: float = 0.0
 
     def __post_init__(self):
-        if self.alpha_l1 < 0.0 or self.beta_l2 < 0.0:
-            raise ValueError("penalty strengths must be non-negative")
+        if not (0.0 <= self.alpha_l1 < np.inf and 0.0 <= self.beta_l2 < np.inf):
+            raise ValueError("penalty strengths must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -371,6 +369,23 @@ def _penalty(reg: RegularizationParams, x: np.ndarray):
     return reg.alpha_l1 * np.sum(np.abs(x), axis=-1) + reg.beta_l2 * np.sum(x**2, axis=-1)
 
 
+def _objective(backend, reg: RegularizationParams, num_features: int):
+    """Backend cost at the cosines ``(-1, x)``, assembled in one reused
+    buffer, plus the elastic-net penalty of the weights ``x``."""
+    buffer = np.empty(num_features + 1)
+    buffer[0] = -1.0
+    use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
+
+    def objective(x):
+        buffer[1:] = x
+        value = backend(buffer)
+        if use_penalty:
+            value += _penalty(reg, x)
+        return value
+
+    return objective
+
+
 def _initial_point(config: TrainConfig, m_feats: int) -> np.ndarray:
     if config.initial_weights is None:
         return np.zeros(m_feats)
@@ -406,53 +421,57 @@ def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.
     )
 
 
+def _restarts(solve, count: int, x0: np.ndarray, config: TrainConfig):
+    """Warm restarts of ``count`` problems from ``x0``, each at half the
+    last simplex scale, until two consecutive optima agree to
+    ``nm_tolerance_f``.  ``solve`` is :func:`_lockstep_nelder_mead` without
+    its objective.  Returns ``(points, restarts_used, converged,
+    evaluations, failed)``."""
+    f_tol, x_tol = config.nm_tolerance_f, config.nm_tolerance_x
+    max_iter = config.max_iterations_per_restart or 400 * x0.size
+    scale = config.initial_simplex_scale
+    live = np.arange(count)
+    points, values, evaluations, failed = map(np.asarray, solve(
+        live, np.tile(x0, (count, 1)), f_tol, x_tol, max_iter, scale))
+    restarts = np.ones(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    live = live[~failed]
+    for _ in range(1, config.max_restarts):
+        if not live.size:
+            break
+        scale *= 0.5
+        nxt, nxt_values, evals, nxt_failed = map(np.asarray, solve(
+            live, points[live], f_tol, x_tol, max_iter, scale))
+        evaluations[live] += evals
+        restarts[live] += 1
+        failed[live] = nxt_failed
+        improvement = values[live] - nxt_values
+        better = nxt_values <= values[live]
+        points[live[better]] = nxt[better]
+        values[live[better]] = nxt_values[better]
+        agreed = np.abs(improvement) < f_tol
+        converged[live[agreed]] = True
+        live = live[~(agreed | nxt_failed)]
+    return points, restarts, converged, evaluations, failed
+
+
 def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
         config: TrainConfig | None = None) -> FitResult:
     """Minimize backend cost plus elastic-net penalty over the standardized
-    weights, with warm restarts that halve the simplex scale until two
-    consecutive restart optima agree to ``nm_tolerance_f``."""
+    weights by the scalar :func:`nelder_mead` under :func:`_restarts`."""
     reg = reg or RegularizationParams()
     config = config or TrainConfig()
     backend = _make_backend(std, config)
+    objective = _objective(backend, reg, std.num_features)
 
-    buffer = np.empty(std.num_features + 1)
-    buffer[0] = -1.0
+    def solve(ids, x0, *options):
+        result = nelder_mead(objective, x0[0], *options)
+        return result.point[None], [result.value], [result.evaluations], [False]
 
-    def assemble(x):
-        buffer[1:] = x
-        return buffer
-
-    use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
-
-    def objective(x):
-        value = backend(assemble(x))
-        if use_penalty:
-            value += _penalty(reg, x)
-        return value
-
-    x0 = _initial_point(config, std.num_features)
-    max_iter = config.max_iterations_per_restart or 400 * x0.size
-    scale = config.initial_simplex_scale
-    total_evals = 0
-    result = nelder_mead(objective, x0, config.nm_tolerance_f, config.nm_tolerance_x,
-                         max_iter, scale)
-    total_evals += result.evaluations
-    restarts = 1
-    converged = False
-    while restarts < config.max_restarts:
-        scale *= 0.5
-        nxt = nelder_mead(objective, result.point, config.nm_tolerance_f,
-                          config.nm_tolerance_x, max_iter, scale)
-        total_evals += nxt.evaluations
-        restarts += 1
-        improvement = result.value - nxt.value
-        if nxt.value <= result.value:
-            result = nxt
-        if abs(improvement) < config.nm_tolerance_f:
-            converged = True
-            break
-
-    return _fit_result(std, config, backend, result.point, restarts, converged, total_evals)
+    points, restarts, converged, evaluations, _ = _restarts(
+        solve, 1, _initial_point(config, std.num_features), config)
+    return _fit_result(std, config, backend, points[0], int(restarts[0]), bool(converged[0]),
+                       int(evaluations[0]))
 
 
 def fit_raw_table(raw: RawTable, reg: RegularizationParams | None = None,
@@ -471,61 +490,26 @@ def _ensemble_objective(stacked: np.ndarray, backends: list, reg: Regularization
     analytic backend it is one stacked product over the ``(B, L, M+1)``
     batch tables that makes, point by point, the gemv and dot of
     :meth:`StandardizedTable.cost`; any other backend calls each batch's
-    own closure, in the order given."""
-    use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
-    if config.cost_backend == BACKEND_ANALYTIC:
+    own :func:`_objective`, in the order given."""
+    if config.cost_backend != BACKEND_ANALYTIC:
+        objectives = [_objective(backend, reg, stacked.shape[2] - 1) for backend in backends]
+        return lambda problems, points: np.array(
+            [objectives[p](x) for p, x in zip(problems, points)], dtype=np.float64)
 
-        def cost(problems, points):
-            cosines = np.empty((len(points), points.shape[1] + 1))
-            cosines[:, 0] = -1.0
-            cosines[:, 1:] = points
-            tables = stacked if len(problems) == len(stacked) else stacked[problems]
-            r = np.matmul(tables, cosines[:, :, None])
-            return np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
-    else:
-        def cost(problems, points):
-            return np.array([backends[p](np.concatenate(([-1.0], x)))
-                             for p, x in zip(problems, points)], dtype=np.float64)
+    use_penalty = reg.alpha_l1 > 0.0 or reg.beta_l2 > 0.0
 
     def objective(problems, points):
-        values = cost(problems, points)
+        cosines = np.empty((len(points), points.shape[1] + 1))
+        cosines[:, 0] = -1.0
+        cosines[:, 1:] = points
+        tables = stacked if len(problems) == len(stacked) else stacked[problems]
+        r = np.matmul(tables, cosines[:, :, None])
+        values = np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
         if use_penalty:
             values += _penalty(reg, points)
         return values
 
     return objective
-
-
-def _lockstep_restarts(objective, count: int, x0: np.ndarray, config: TrainConfig):
-    """:func:`fit`'s warm restarts for ``count`` problems at once; each
-    restart stage runs only the problems whose optima have not yet agreed.
-    Returns ``(points, restarts_used, converged, evaluations, failed)``."""
-    f_tol, x_tol = config.nm_tolerance_f, config.nm_tolerance_x
-    max_iter = config.max_iterations_per_restart or 400 * x0.size
-    scale = config.initial_simplex_scale
-    live = np.arange(count)
-    points, values, evaluations, failed = _lockstep_nelder_mead(
-        objective, live, np.tile(x0, (count, 1)), f_tol, x_tol, max_iter, scale)
-    restarts = np.ones(count, dtype=np.int64)
-    converged = np.zeros(count, dtype=bool)
-    live = live[~failed]
-    for _ in range(1, config.max_restarts):
-        if not live.size:
-            break
-        scale *= 0.5
-        nxt, nxt_values, evals, nxt_failed = _lockstep_nelder_mead(
-            objective, live, points[live], f_tol, x_tol, max_iter, scale)
-        evaluations[live] += evals
-        restarts[live] += 1
-        failed[live] = nxt_failed
-        improvement = values[live] - nxt_values
-        better = nxt_values <= values[live]
-        points[live[better]] = nxt[better]
-        values[live[better]] = nxt_values[better]
-        agreed = np.abs(improvement) < f_tol
-        converged[live[agreed]] = True
-        live = live[~(agreed | nxt_failed)]
-    return points, restarts, converged, evaluations, failed
 
 
 def batch_fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.ndarray,
@@ -558,9 +542,9 @@ def _train_batches(args) -> list:
         tables = [replace(std, values=values) for std, values in zip(tables, stacked)]
         configs = [replace(config, seed=child_seed(config.seed, b)) for b in trained]
         backends = [_make_backend(std, c) for std, c in zip(tables, configs)]
-        points, restarts, converged, evaluations, failed = _lockstep_restarts(
-            _ensemble_objective(stacked, backends, reg, config), len(trained),
-            _initial_point(config, raw.num_features), config)
+        points, restarts, converged, evaluations, failed = _restarts(
+            partial(_lockstep_nelder_mead, _ensemble_objective(stacked, backends, reg, config)),
+            len(trained), _initial_point(config, raw.num_features), config)
         for i, (b, std, batch_config, backend) in enumerate(
                 zip(trained, tables, configs, backends)):
             if failed[i]:

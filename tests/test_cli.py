@@ -154,6 +154,36 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fit", "--input", "t.csv", "--l1", "nan"), "must be finite"),
+    (("fit", "--input", "t.csv", "--l2", "nan"), "must be finite"),
+    (("fit", "--input", "t.csv", "--l1", "inf"), "must be finite"),
+    (("fit", "--input", "t.csv", "--l2=-1e-3"), "finite and at least 0"),
+    (("fit", "--input", "t.csv", "--readout-delta", "nan"), "must be in [0, 0.5)"),
+    (("fit", "--input", "t.csv", "--readout-delta", "0.5"), "must be in [0, 0.5)"),
+    (("fit", "--input", "t.csv", "--readout-delta", "-0.1"), "must be in [0, 0.5)"),
+    (("ensemble", "--input", "t.csv", "--batch-size", "4", "--l1", "nan"), "must be finite"),
+    (("ensemble", "--input", "t.csv", "--batch-size", "4", "--l2=-inf"), "must be finite"),
+    (("sin-demo", "--alpha", "nan"), "must be finite"),
+    (("sin-demo", "--alpha", "-1"), "finite and at least 0"),
+    (("generate", "--rows", "4", "--weights", "1", "--noise", "nan"), "must be finite"),
+    (("generate", "--rows", "4", "--weights", "1", "--noise", "-0.1"), "finite and at least 0"),
+    (("generate", "--rows", "4", "--weights", "1,nan"), "must be finite"),
+    (("noise-sweep", "--weights", "inf"), "must be finite"),
+    (("noise-sweep", "--noise-levels", "0,nan"), "must be finite"),
+    (("noise-sweep", "--noise-levels", "0,-0.1"), "finite and at least 0"),
+    (("shadow-study", "--epsilon", "nan"), "must be finite"),
+    (("shadow-study", "--epsilon", "0"), "finite and greater than 0"),
+])
+def test_non_finite_and_out_of_range_floats_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_noise_sweep_smoke(tmp_path):
     out = tmp_path / "sweep.json"
     csv_out = tmp_path / "sweep.csv"

@@ -150,6 +150,18 @@ def test_synthetic_determinism():
     np.testing.assert_array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("weights, noise", [
+    ([1.0, np.nan], 0.0),
+    ([np.inf], 0.0),
+    ([1.0], np.nan),
+    ([1.0], np.inf),
+    ([1.0], -0.1),
+])
+def test_synthetic_spec_rejects_non_finite_or_negative_values(weights, noise):
+    with pytest.raises(ValueError):
+        SyntheticSpec(8, np.array(weights), noise, 0)
+
+
 def test_power_features():
     np.testing.assert_allclose(build_power_features([0.5], 3)[0], [0.5, 0.25, 0.125])
     np.testing.assert_allclose(build_power_features([-1.0], 4)[0], [-1, 1, -1, 1])

@@ -7,6 +7,10 @@ name in the syntax tree, so docstrings and comments do not count; tests do
 not count either.  ``ALLOWED`` lists the helpers that stay public without
 a caller, each because a paper claim or an acceptance criterion rests on it.
 
+Every private top-level function or class (``_name``) of ``src/vqreg``
+must also be referenced in ``src/`` or ``bench/``, so that no copy of
+library code that only a test calls can stay behind under a private name.
+
 Every public method, property and dataclass field of a ``src/vqreg`` class
 must likewise be read as an attribute (``obj.name``) somewhere in ``src/``
 or ``bench/``.  ``ALLOWED_MEMBERS`` lists the exceptions: a class name
@@ -37,14 +41,18 @@ ALLOWED_MEMBERS = {
 }
 
 
-def _public_definitions() -> dict:
+def _top_level_definitions(private: bool) -> dict:
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+                    and node.name.startswith("_") == private):
                 defs[node.name] = path.name
     return defs
+
+
+def _public_definitions() -> dict:
+    return _top_level_definitions(private=False)
 
 
 def _public_members() -> dict:
@@ -101,6 +109,13 @@ def test_every_public_helper_has_a_caller_outside_the_tests():
     unused = sorted(f"{module}:{name}" for name, module in _public_definitions().items()
                     if name not in referenced and name not in ALLOWED)
     assert not unused, f"public code that nothing but tests calls: {unused}"
+
+
+def test_every_private_helper_has_a_caller_outside_the_tests():
+    referenced = _referenced_names()
+    unused = sorted(f"{module}:{name}" for name, module in
+                    _top_level_definitions(private=True).items() if name not in referenced)
+    assert not unused, f"private code that nothing but tests calls: {unused}"
 
 
 def test_allowlisted_helpers_exist_and_still_need_the_allowance():

@@ -11,7 +11,6 @@ from vqreg.statevector import (
     apply_controlled_ry,
     apply_hadamard,
     basis_state,
-    index_bits,
     postselect,
     sample_indices,
 )
@@ -75,6 +74,26 @@ def test_hadamard_definition_and_involution():
     s = random_state(3, 3)
     back = apply_hadamard(apply_hadamard(s, 1), 1)
     np.testing.assert_allclose(back.amplitudes, s.amplitudes, atol=1e-14)
+
+
+def test_strided_controlled_gates_match_index_masks():
+    state = random_state(4, 3)
+    idx = np.arange(16)
+    for control in range(4):
+        for target in range(4):
+            if control == target:
+                continue
+            i = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
+            j = i | (1 << target)
+            a = state.amplitudes
+            swapped = a.copy()
+            swapped[i], swapped[j] = a[j], a[i]
+            np.testing.assert_array_equal(apply_cnot(state, control, target).amplitudes, swapped)
+            c, s = np.cos(0.7), np.sin(0.7)
+            rotated = a.copy()
+            rotated[i], rotated[j] = c * a[i] - s * a[j], s * a[i] + c * a[j]
+            np.testing.assert_array_equal(
+                apply_controlled_ry(state, control, target, 0.7).amplitudes, rotated)
 
 
 def test_cnot_definition():
@@ -190,11 +209,9 @@ def test_sampling_contracts():
         sample_indices(StateVector(1, [0, 0]), 5, 0)
 
 
-def test_bitstring_convention_and_index_bits():
-    # qubit 1 set -> index 2 -> column 1 of its bits reads 1
+def test_bitstring_convention():
+    # qubit 1 set -> index 2
     assert sample_indices(basis_state(3, 2), 1, 0).tolist() == [2]
-    bits = index_bits(np.array([2, 5]), range(3))
-    np.testing.assert_array_equal(bits, [[0, 1, 0], [1, 0, 1]])
 
 
 def test_index_errors_and_validation():

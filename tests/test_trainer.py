@@ -144,6 +144,13 @@ def test_fit_matches_lasso_coordinate_descent():
     assert zeroed > 0  # some cases sit on the L1 kink at zero
 
 
+@pytest.mark.parametrize("penalties", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                       (0.0, -1e-3)])
+def test_penalties_must_be_finite_and_non_negative(penalties):
+    with pytest.raises(ValueError):
+        RegularizationParams(*penalties)
+
+
 def test_backend_equivalence_fixed_budget():
     # perfect-fit problem: both backends follow the same trajectory
     master = generate_linear_synthetic(SyntheticSpec(16, np.array([0.5, -0.3]), 0.0, 5))
@@ -240,17 +247,55 @@ def test_sin_ansatz_sign_pattern():
     assert np.all(w[1::2] == 0)
 
 
+def reference_fit(std, reg, config):
+    """The warm-restart policy written out as one scalar loop, apart from
+    the trainer's shared driver: restart Nelder-Mead from the best point at
+    half the simplex scale until two consecutive restart optima agree."""
+    backend = trainer._make_backend(std, config)
+    objective = trainer._objective(backend, reg, std.num_features)
+    x0 = trainer._initial_point(config, std.num_features)
+    max_iter = config.max_iterations_per_restart or 400 * x0.size
+    scale = config.initial_simplex_scale
+    stop = (config.nm_tolerance_f, config.nm_tolerance_x, max_iter)
+    result = nelder_mead(objective, x0, *stop, scale)
+    total_evals, restarts, converged = result.evaluations, 1, False
+    while restarts < config.max_restarts:
+        scale *= 0.5
+        nxt = nelder_mead(objective, result.point, *stop, scale)
+        total_evals += nxt.evaluations
+        restarts += 1
+        improvement = result.value - nxt.value
+        if nxt.value <= result.value:
+            result = nxt
+        if abs(improvement) < config.nm_tolerance_f:
+            converged = True
+            break
+    return trainer._fit_result(std, config, backend, result.point, restarts, converged,
+                               total_evals)
+
+
 def scalar_outcomes(raw, plan, reg, config):
-    """What one scalar ``fit`` per batch gives: ``{b: FitResult}`` and
-    ``{b: failure message}``."""
+    """What the reference loop gives on each batch: ``{b: FitResult}`` and
+    ``{b: failure message}``.  ``fit`` must give the same bit for bit, or
+    raise the same :class:`NelderMeadError`."""
     fits, failures = {}, {}
     for b in range(plan.num_batches):
         seed = int(np.random.SeedSequence([config.seed, b]).generate_state(1)[0])
+        batch_config = replace(config, seed=seed)
         try:
             std = standardize(bootstrap_batch(raw, plan, b))
-            fits[b] = fit(std, reg, replace(config, seed=seed))
-        except (ZeroVarianceColumnError, NelderMeadError) as exc:
+        except ZeroVarianceColumnError as exc:
             failures[b] = f"{type(exc).__name__}: {exc}"
+            continue
+        try:
+            fits[b] = reference_fit(std, reg, batch_config)
+        except NelderMeadError as exc:
+            failures[b] = f"{type(exc).__name__}: {exc}"
+            with pytest.raises(NelderMeadError) as err:
+                fit(std, reg, batch_config)
+            np.testing.assert_array_equal(err.value.point, exc.point)  # the same first NaN
+            continue
+        assert_same_fit(fit(std, reg, batch_config), fits[b])
     return fits, failures
 
 
@@ -373,6 +418,15 @@ def test_ensemble_reports_the_scalar_nan_failure(monkeypatch):
     fits, failures = scalar_outcomes(master, plan, RegularizationParams(), config)
     assert fits and set(failures.values()) == {"NelderMeadError: objective returned NaN"}
     assert_ensemble_matches_scalar(master, plan, RegularizationParams(), config)
+
+
+@pytest.mark.parametrize("backend", ["analytic", "circuit", "shots"])
+def test_fit_equals_the_reference_restart_loop(backend):
+    std = standardize(generate_linear_synthetic(SyntheticSpec(12, np.array([0.7, -0.2]), 0.1, 14)))
+    config = TrainConfig(cost_backend=backend, shots=256, seed=5, max_restarts=4,
+                         max_iterations_per_restart=60)
+    reg = RegularizationParams(1e-3, 1e-3)
+    assert_same_fit(fit(std, reg, config), reference_fit(std, reg, config))
 
 
 def test_circuit_backend_ensemble_equals_per_batch_fit():
