@@ -7,7 +7,7 @@ everything else is imported from its module (``vqreg.data``,
 ``vqreg.encoders``, ``vqreg.circuit``, ``vqreg.measurement``,
 ``vqreg.trainer``, ``vqreg.resources``, ``vqreg.statevector``)."""
 
-from .circuit import PhaseVector, analytic_cost, apply_regression_map
+from .circuit import PhaseVector, apply_regression_map
 from .data import BootstrapPlan, SyntheticSpec, generate_linear_synthetic, standardize
 from .encoders import prepare_exact
 from .measurement import exact_expectation

@@ -93,7 +93,7 @@ def regression_map_state(prep: PreparedState, phases: PhaseVector) -> StateVecto
             f"phase vector has {phases.num_features} features, layout {layout.num_features}"
         )
     anc = layout.ancilla
-    state = apply_signed_phases(prep.ancilla_plus, layout.code_basis_indices(), phases.phis, anc)
+    state = apply_signed_phases(prep.ancilla_plus, layout.code_basis_indices, phases.phis, anc)
     return apply_hadamard(state, anc)
 
 
@@ -108,15 +108,10 @@ def apply_regression_map(prep: PreparedState, phases: PhaseVector) -> tuple[Stat
     return postselect(regression_map_state(prep, phases), prep.layout.ancilla, "z0")
 
 
-def analytic_cost(std: StandardizedTable, phases: PhaseVector) -> float:
-    """``sum_l (sum_m x_lm cos(phi_m))^2`` evaluated classically."""
-    return std.cost(phases.cosines())
-
-
 def analytic_gradient(std: StandardizedTable, phases: PhaseVector) -> np.ndarray:
     """d(cost)/d(phi_m) = -2 sin(phi_m) * (X^T X cos(phi))_m.
 
-    Chain rule applied to :func:`analytic_cost`; central finite
+    Chain rule applied to :meth:`StandardizedTable.cost`; central finite
     differences are the arbiter for the overall sign convention.
     """
     residual = std.values @ phases.cosines()

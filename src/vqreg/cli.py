@@ -47,9 +47,9 @@ from .trainer import (
     NelderMeadError,
     RegularizationParams,
     TrainConfig,
+    fit,
     fit_ensemble,
     fit_nonlinear_sin_demo,
-    fit_raw_table,
 )
 
 EXIT_OK = 0
@@ -144,17 +144,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    raw = load_csv(args.input)
+    std = standardize(load_csv(args.input), equalize_columns=not args.no_equalize)
     reg = RegularizationParams(alpha_l1=args.l1, beta_l2=args.l2)
-    result, raw_weights = fit_raw_table(raw, reg, _train_config(args),
-                                        equalize_columns=not args.no_equalize)
+    result = fit(std, reg, _train_config(args))
     if not result.converged:
         raise ConvergenceFailure(
             f"fit did not converge: {result.failure_reason} (cost {result.cost:.3e})"
         )
     payload = {
         "config_echo": _echo(args),
-        "weights": raw_weights,
+        "weights": std.raw_weights(result.weights.weights),
         "weights_standardized": result.weights.weights,
         "phases": result.phases.phis,
         "cost": result.cost,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .data import DigitizedTable, StandardizedTable
 from .statevector import (
-    DiagonalPhaseSpec,
     StateVector,
     apply_cnot,
     apply_controlled_diagonal_phase,
@@ -88,13 +87,10 @@ class EncodingLayout:
         # circuits place the fresh ancilla above the data register
         return self.data_qubit_count
 
+    @cached_property
     def code_basis_indices(self) -> np.ndarray:
         """Basis indices of all real cells, row-major, shape (L, M+1); one
         read-only array per layout."""
-        return self._code_basis_indices
-
-    @cached_property
-    def _code_basis_indices(self) -> np.ndarray:
         rows = np.arange(self.num_rows)[:, None]
         cols = np.arange(self.num_features + 1)[None, :]
         if self.scheme == ONE_HOT:
@@ -147,7 +143,7 @@ def prepare_exact(std: StandardizedTable, scheme: str = COMPACT_BINARY) -> Prepa
     layout = make_layout(scheme, std.num_rows, std.num_features)
     _check_simulable(layout)
     amps = np.zeros(1 << layout.data_qubit_count, dtype=np.complex128)
-    amps[layout.code_basis_indices().reshape(-1)] = std.values.reshape(-1)
+    amps[layout.code_basis_indices.reshape(-1)] = std.values.reshape(-1)
     return PreparedState(StateVector(layout.data_qubit_count, amps), layout)
 
 
@@ -190,31 +186,25 @@ def prepare_one_hot_chain(std: StandardizedTable) -> PreparedState:
     return PreparedState(state, layout)
 
 
-def _compact_from_phases(layout: EncodingLayout, x: np.ndarray) -> PreparedState:
-    """Ancilla ``|+>`` over a uniform register superposition, the phase
-    ``exp(-i Z_A x_lm)`` on every real cell as one diagonal layer, then
-    post-selection of the ancilla on ``|->``."""
+def memory_free_compact(dig: DigitizedTable) -> PreparedState:
+    """Compact preparation with the phases driven classically: ancilla
+    ``|+>`` over a uniform register superposition, the phase ``exp(-i Z_A
+    x_k)`` on every real cell from the digitized values as one diagonal
+    layer, then post-selection of the ancilla on ``|->``.  The returned
+    conditional state has amplitudes proportional to ``sin(x_k)`` and
+    squared norm equal to the success probability."""
+    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features)
     _check_simulable(layout)
+    x = dig.x_tilde.reshape(dig.num_rows, dig.num_features + 1)
     n = layout.n_k + 1
     anc = layout.n_k
     amps = np.full(1 << n, 1.0 / np.sqrt(2.0 * (1 << layout.n_k)), dtype=np.complex128)
-    state = apply_signed_phases(StateVector(n, amps), layout.code_basis_indices(), -x, anc)
+    state = apply_signed_phases(StateVector(n, amps), layout.code_basis_indices, -x, anc)
     conditional, prob = postselect(state, anc, "x-")
     if prob <= 0.0:
         raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
     # fix the overall phase (-i from the projection) so code amplitudes are real
     return PreparedState(StateVector(layout.n_k, 1j * conditional.amplitudes), layout)
-
-
-def memory_free_compact(dig: DigitizedTable) -> PreparedState:
-    """Compact preparation with the phases driven classically: one
-    ancilla-signed phase ``exp(-i Z_A x_k)`` per real cell from the
-    digitized values.  The returned conditional state has amplitudes
-    proportional to ``sin(x_k)`` and squared norm equal to the success
-    probability."""
-    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features)
-    return _compact_from_phases(
-        layout, dig.x_tilde.reshape(dig.num_rows, dig.num_features + 1))
 
 
 def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
@@ -250,17 +240,15 @@ def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
     amps[base | (1 << anc)] = 1.0 / np.sqrt(2.0 * dim_qpu)
     state = StateVector(n, amps)
 
-    for k, index in enumerate(layout.code_basis_indices().reshape(-1)):
+    for k, index in enumerate(layout.code_basis_indices.reshape(-1)):
         controls = tuple((q, (int(index) >> q) & 1) for q in range(layout.n_k))
         for j, dtheta in enumerate(dig.delta_thetas):
             mem_q = layout.n_k + k * dig.n_bits + j
             # exp(-i dtheta Z_A |k><k| Z_mem): split on the memory bit value
             state = apply_controlled_diagonal_phase(
-                state, DiagonalPhaseSpec(controls + ((mem_q, 0),), -dtheta, sign_qubit=anc)
-            )
+                state, controls + ((mem_q, 0),), -dtheta, sign_qubit=anc)
             state = apply_controlled_diagonal_phase(
-                state, DiagonalPhaseSpec(controls + ((mem_q, 1),), +dtheta, sign_qubit=anc)
-            )
+                state, controls + ((mem_q, 1),), +dtheta, sign_qubit=anc)
 
     without_anc, prob = postselect(state, anc, "x-")
     if prob <= 0.0:

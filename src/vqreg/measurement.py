@@ -47,8 +47,8 @@ class ShotBudget:
     """Bernstein-style budget ``ceil(2 sigma^2 ln(1/alpha) / eps^2)``.
 
     Both variance candidates are carried: ``1 + M C - C^2`` (implied by
-    the ``I + M*M_hat`` closure of ``M_hat^2``) and ``(M+1) C - C^2``
-    (implied by the verified closure ``M_hat^2 = (M+1) M_hat``).
+    the ``I + M*M_hat`` closure of ``M_hat^2``) and ``2**N_M C - C^2``,
+    the compact estimator's exact single-shot variance.
     """
 
     epsilon: float
@@ -95,8 +95,10 @@ def shadow_snapshot_budget(n_m: int, epsilon: float) -> int:
     return int(np.ceil(12.0 * np.log(2.0**n_m) * 4.0**n_m / epsilon**2))
 
 
-def code_amplitudes(psi0: StateVector, layout: EncodingLayout) -> np.ndarray:
-    """Amplitudes of the real table cells, shape (L, M+1).
+def exact_expectation(psi0: StateVector, layout: EncodingLayout) -> float:
+    """Cost-operator expectation on the (possibly subnormalized) state:
+    ``sum_l |sum_m a_lm|^2`` over the amplitudes ``a_lm`` of the real table
+    cells.
 
     Raises :class:`LayoutMismatchError` if the state size disagrees with
     the layout or if weight leaks outside the code space (padding cells
@@ -106,17 +108,10 @@ def code_amplitudes(psi0: StateVector, layout: EncodingLayout) -> np.ndarray:
         raise LayoutMismatchError(
             f"state has {psi0.num_qubits} qubits, layout wants {layout.data_qubit_count}"
         )
-    amps = psi0.amplitudes[layout.code_basis_indices()]
+    amps = psi0.amplitudes[layout.code_basis_indices]
     code_weight = float((np.abs(amps) ** 2).sum())
     if psi0.norm_squared - code_weight > 1e-9 * max(1.0, psi0.norm_squared):
         raise LayoutMismatchError("state has weight outside the layout's code space")
-    return amps
-
-
-def exact_expectation(psi0: StateVector, layout: EncodingLayout) -> float:
-    """Cost-operator expectation on the (possibly subnormalized) state:
-    ``sum_l |sum_m a_lm|^2``."""
-    amps = code_amplitudes(psi0, layout)
     row_sums = amps.sum(axis=1)
     return float((np.abs(row_sums) ** 2).sum())
 
@@ -339,19 +334,13 @@ def pauli_shadow_estimate(
     outcome_rng = np.random.default_rng(outcome_seed)
 
     combo_key = bases @ (3 ** np.arange(n, dtype=np.int64))
+    bit = 1 << np.arange(n, dtype=np.int64)
+    x_masks = (bases == 0) @ bit
+    y_masks = (bases == 1) @ bit
     outcomes = np.empty(config.snapshots, dtype=np.int64)
-    for key in np.unique(combo_key):
+    for key, first in zip(*np.unique(combo_key, return_index=True)):
         mask = combo_key == key
-        x_mask = y_mask = 0
-        value = int(key)
-        for q in range(n):
-            basis_q = value % 3
-            value //= 3
-            if basis_q == 0:
-                x_mask |= 1 << q
-            elif basis_q == 1:
-                y_mask |= 1 << q
-        rotated = _rotate_to_pauli_basis(psi0, x_mask, y_mask)
+        rotated = _rotate_to_pauli_basis(psi0, int(x_masks[first]), int(y_masks[first]))
         outcomes[mask] = sample_indices(rotated, int(mask.sum()), outcome_rng)
 
     signs = 1.0 - 2.0 * ((outcomes[:, None] >> np.arange(layout.n_m)) & 1)
@@ -379,10 +368,13 @@ def variance_identity_plus_m(cost: float, num_features: int) -> float:
 
 
 def variance_operator_derived(cost: float, num_features: int) -> float:
-    """Variance implied by ``M_hat^2 = (M+1) M_hat``: ``(M+1) C - C^2``,
-    with ``C`` the expectation on the normalized measured state; there is
-    no constant term."""
-    return (num_features + 1) * cost - cost**2
+    """Exact single-shot variance of :func:`shot_estimate_compact`:
+    ``2**N_M C - C^2``, with ``C`` the expectation on the normalized
+    measured state.  The estimator measures ``2**N_M`` times a projector,
+    whose square is ``2**N_M`` times itself; the closure ``M_hat^2 = (M+1)
+    M_hat`` gives the same variance only when ``M + 1`` is a power of two."""
+    n_m = max(1, int(np.ceil(np.log2(num_features + 1))))
+    return (1 << n_m) * cost - cost**2
 
 
 def required_shots(cost: float, num_features: int, epsilon: float, alpha: float) -> ShotBudget:

@@ -62,20 +62,6 @@ class StateVector:
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class DiagonalPhaseSpec:
-    """Controlled diagonal phase: amplitudes whose bits match every
-    ``(qubit, required_bit)`` control gain ``exp(1j * angle * s)`` where
-    ``s = (-1)**b`` and ``b`` is the ``sign_qubit`` bit (``s = +1`` if no
-    sign qubit is given)."""
-
-    controls: tuple
-    angle: float
-    sign_qubit: int | None = None
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -145,30 +131,32 @@ def apply_controlled_ry(state: StateVector, control: int, target: int, theta: fl
     return StateVector(state.num_qubits, amps)
 
 
-def apply_controlled_diagonal_phase(state: StateVector, spec: DiagonalPhaseSpec) -> StateVector:
-    """Multiply every basis amplitude matching ``spec.controls`` by
-    ``exp(1j * (-1)**b * spec.angle)``, ``b`` being the sign-qubit bit."""
-    qubits = [q for q, _ in spec.controls]
-    if spec.sign_qubit is not None:
-        qubits.append(spec.sign_qubit)
+def apply_controlled_diagonal_phase(state: StateVector, controls, angle: float,
+                                    sign_qubit: int | None = None) -> StateVector:
+    """Multiply every basis amplitude whose bits match every ``(qubit,
+    required_bit)`` of ``controls`` by ``exp(1j * (-1)**b * angle)``, ``b``
+    being the ``sign_qubit`` bit (``+1`` if no sign qubit is given)."""
+    qubits = [q for q, _ in controls]
+    if sign_qubit is not None:
+        qubits.append(sign_qubit)
     if len(set(qubits)) != len(qubits):
         raise ValueError("control/sign qubits must be pairwise distinct")
     for q in qubits:
         _check_qubit(state, q)
-    for _, bit in spec.controls:
+    for _, bit in controls:
         if bit not in (0, 1):
             raise ValueError(f"control bit must be 0 or 1, got {bit}")
 
     amps = state.amplitudes.copy()
     idx = np.arange(amps.size, dtype=np.int64)
     sel = np.ones(amps.size, dtype=bool)
-    for q, bit in spec.controls:
+    for q, bit in controls:
         sel &= ((idx >> q) & 1) == bit
-    if spec.sign_qubit is None:
-        amps[sel] *= np.exp(1j * spec.angle)
+    if sign_qubit is None:
+        amps[sel] *= np.exp(1j * angle)
     else:
-        sign = 1.0 - 2.0 * ((idx[sel] >> spec.sign_qubit) & 1)
-        amps[sel] *= np.exp(1j * spec.angle * sign)
+        sign = 1.0 - 2.0 * ((idx[sel] >> sign_qubit) & 1)
+        amps[sel] *= np.exp(1j * angle * sign)
     return StateVector(state.num_qubits, amps)
 
 
@@ -221,7 +209,7 @@ def sample_indices(state: StateVector, shots: int, rng_seed) -> np.ndarray:
         raise ValueError("shots must be positive")
     if state.norm_squared <= 0.0:
         raise ZeroNormError("cannot sample from a zero-norm state")
-    probs = state.probabilities()
+    probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     return rng.choice(probs.size, size=shots, p=probs)

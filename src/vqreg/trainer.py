@@ -47,10 +47,12 @@ from .data import (
     power_feature_table,
     standardize,
 )
-from .encoders import ONE_HOT, prepare_exact
+from .encoders import COMPACT_BINARY, ONE_HOT, make_layout, prepare_exact
 from .measurement import (
     exact_expectation,
+    measured_qubit_count,
     r_squared,
+    readout_attenuation,
     shot_estimate_compact,
     shot_estimate_one_hot,
 )
@@ -399,6 +401,8 @@ def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.
                 restarts_used: int, converged: bool, evaluations: int) -> FitResult:
     """Phases, backend cost and R^2 at the trained ``point``.
 
+    A shots estimate under readout error is attenuated by
+    :func:`readout_attenuation`; the reported cost and R^2 divide it out.
     A shot estimate is exactly zero when it accepts no shot, which on noisy
     data says nothing about the cost; a shots fit whose estimate at the
     returned point is zero is therefore not converged.
@@ -407,8 +411,12 @@ def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.
     phases = phases_from_cosines(cosines)
     cost_value = backend(cosines)
     reason = None if converged else RESTARTS_DISAGREE
-    if config.cost_backend == BACKEND_SHOTS and cost_value == 0.0:
-        reason = NO_SHOT_ACCEPTED
+    if config.cost_backend == BACKEND_SHOTS:
+        scheme = ONE_HOT if config.estimator == "one-hot" else COMPACT_BINARY
+        layout = make_layout(scheme, std.num_rows, std.num_features)
+        cost_value /= readout_attenuation(config.readout_delta, measured_qubit_count(layout))
+        if cost_value == 0.0:
+            reason = NO_SHOT_ACCEPTED
     return FitResult(
         weights=WeightVector(point),
         phases=phases,
@@ -472,15 +480,6 @@ def fit(std: StandardizedTable, reg: RegularizationParams | None = None,
         solve, 1, _initial_point(config, std.num_features), config)
     return _fit_result(std, config, backend, points[0], int(restarts[0]), bool(converged[0]),
                        int(evaluations[0]))
-
-
-def fit_raw_table(raw: RawTable, reg: RegularizationParams | None = None,
-                  config: TrainConfig | None = None,
-                  equalize_columns: bool = True) -> tuple[FitResult, np.ndarray]:
-    """Standardize, fit, and also return weights in raw column units."""
-    std = standardize(raw, equalize_columns)
-    result = fit(std, reg, config)
-    return result, std.raw_weights(result.weights.weights)
 
 
 def _ensemble_objective(stacked: np.ndarray, backends: list, reg: RegularizationParams,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vqreg.circuit import PhaseVector, analytic_cost
+from vqreg.circuit import PhaseVector
 from vqreg.data import (
     BootstrapPlan,
     RawTable,
@@ -47,7 +47,7 @@ def test_c0_matches_null_model_cost(m_feats):
     std = standardize(RawTable(rng.uniform(-1, 1, (24, m_feats + 1))))
     phases = PhaseVector(np.array([np.pi] + [np.pi / 2] * m_feats))
     assert abs(std.c0 - 1.0 / (1.0 + m_feats)) < 1e-12
-    assert abs(analytic_cost(std, phases) - std.c0) < 1e-12
+    assert abs(std.cost(phases.cosines()) - std.c0) < 1e-12
 
 
 def test_standardize_zero_variance_rejected_with_index():

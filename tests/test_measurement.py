@@ -23,7 +23,6 @@ from vqreg.measurement import (
 )
 from vqreg.measurement import _rotate_to_pauli_basis
 from vqreg.statevector import (
-    DiagonalPhaseSpec,
     StateVector,
     apply_controlled_diagonal_phase,
     apply_hadamard,
@@ -307,11 +306,57 @@ def test_required_shots_examples():
 
 def test_variance_formulas():
     assert variance_identity_plus_m(0.2, 4) == 1.0 + 4 * 0.2 - 0.04
-    assert variance_operator_derived(0.2, 4) == 5 * 0.2 - 0.04
+    assert variance_operator_derived(0.2, 4) == 8 * 0.2 - 0.04
     with pytest.raises(ValueError):
         required_shots(0.1, 2, -1.0, 0.05)
     with pytest.raises(ValueError):
         required_shots(0.1, 2, 0.1, 1.5)
+
+
+def compact_case(num_features, seed):
+    """A random compact-layout table under random phases: the pre-projection
+    state, its layout, and the estimator's acceptance probability, read off
+    the state after a Hadamard on every column qubit."""
+    rng = np.random.default_rng(seed)
+    prep = prepare_exact(random_std(int(rng.integers(3, 7)), num_features, seed), COMPACT_BINARY)
+    phis = np.concatenate(([np.pi], rng.uniform(0.0, np.pi, num_features)))
+    state = regression_map_state(prep, PhaseVector(phis))
+    rotated = state
+    for q in range(prep.layout.n_m):
+        rotated = apply_hadamard(rotated, q)
+    idx = np.arange(rotated.amplitudes.size)
+    accepted = ((idx >> prep.layout.ancilla) & 1 == 0) & (idx & ((1 << prep.layout.n_m) - 1) == 0)
+    return state, prep.layout, float(np.sum(np.abs(rotated.amplitudes[accepted]) ** 2))
+
+
+def test_compact_budget_variance_covers_the_exact_variance():
+    # the estimate is 2**N_M times a Bernoulli(p) draw per shot; M = 4 is
+    # where (M+1) C - C^2 understated it 1.63x
+    for num_features in range(1, 9):
+        for seed in range(3):
+            _, layout, p = compact_case(num_features, 100 * num_features + seed)
+            scale = float(1 << layout.n_m)
+            exact = scale**2 * p * (1.0 - p)
+            budget = required_shots(scale * p, num_features, 0.01, 0.05)
+            assert budget.variance_operator >= exact * (1.0 - 1e-9), (num_features, seed)
+
+
+def test_compact_budget_miss_rate_is_at_most_alpha():
+    # epsilon is chosen per table so that each budget is about 10**4 shots
+    alpha, target, reps = 0.05, 10_000, 400
+    misses = trials = 0
+    for num_features in range(1, 9):
+        state, layout, p = compact_case(num_features, 7 + num_features)
+        cost = float(1 << layout.n_m) * p
+        epsilon = np.sqrt(2.0 * variance_operator_derived(cost, num_features)
+                          * np.log(1.0 / alpha) / target)
+        shots = required_shots(cost, num_features, epsilon, alpha).shots_operator
+        assert abs(shots - target) <= 1
+        for rep in range(reps):
+            est = shot_estimate_compact(state, layout, shots, seed=[num_features, rep])
+            misses += abs(est.value - cost) > epsilon
+            trials += 1
+    assert misses / trials <= alpha + 3.0 * np.sqrt(alpha * (1.0 - alpha) / trials)
 
 
 def test_measured_qubit_counts():
@@ -319,7 +364,7 @@ def test_measured_qubit_counts():
     assert measured_qubit_count(make_layout(COMPACT_BINARY, 4, 3)) == 5
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 10), st.data())
 def test_pauli_basis_rotation_matches_per_qubit_gates(num_qubits, data):
     bases = data.draw(st.lists(st.sampled_from("XYZ"), min_size=num_qubits,
@@ -333,7 +378,7 @@ def test_pauli_basis_rotation_matches_per_qubit_gates(num_qubits, data):
     for q, basis in enumerate(bases):
         if basis == "Y":  # S-dagger, then H
             expected = apply_controlled_diagonal_phase(
-                expected, DiagonalPhaseSpec(((q, 1),), -np.pi / 2.0))
+                expected, ((q, 1),), -np.pi / 2.0)
         if basis in "XY":
             expected = apply_hadamard(expected, q)
     got = _rotate_to_pauli_basis(state, x_mask, y_mask)

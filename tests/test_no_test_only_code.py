@@ -26,7 +26,6 @@ PACKAGE = ROOT / "src" / "vqreg"
 
 ALLOWED = {
     "phases_to_weights": "the readout W_m = -cos(phi_m)/cos(phi_0) the paper's claim rests on",
-    "analytic_cost": "the closed-form cost of the README's library quick start",
     "analytic_gradient": "the gradient C09 checks against central differences",
     "operator_identity_check": "C02's arbitration of the two closures of M_hat^2",
     "required_shots": "C02's Bernstein shot budgets under both variance formulas",
