@@ -53,27 +53,16 @@ class PhaseVector:
         return np.cos(self.phis)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weights", w)
-
-
-def phases_to_weights(phases: PhaseVector) -> WeightVector:
+def phases_to_weights(phases: PhaseVector) -> np.ndarray:
     """``W_m = -cos(phi_m) / cos(phi_0)``; rejects degenerate ``phi_0``."""
     return cosines_to_weights(phases.cosines())
 
 
-def cosines_to_weights(cosines: np.ndarray) -> WeightVector:
+def cosines_to_weights(cosines: np.ndarray) -> np.ndarray:
     c = np.asarray(cosines, dtype=np.float64)
     if abs(c[0]) <= DEGENERATE_COS_TOL:
         raise DegeneratePhaseError("cos(phi_0) ~ 0; trained model is invalid")
-    return WeightVector(-c[1:] / c[0])
+    return -c[1:] / c[0]
 
 
 def phases_from_cosines(cosines: np.ndarray) -> PhaseVector:

@@ -98,8 +98,15 @@ def _int_at_least(low: int):
 
 
 def _list_of(parse_one):
-    """argparse type: comma-separated values, each read by ``parse_one``."""
-    return lambda text: [parse_one(t) for t in text.split(",") if t.strip() != ""]
+    """argparse type: comma-separated values, each read by ``parse_one``, at least one."""
+
+    def parse(text: str) -> list:
+        values = [parse_one(t) for t in text.split(",") if t.strip() != ""]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+
+    return parse
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -153,8 +160,8 @@ def cmd_fit(args) -> int:
         )
     payload = {
         "config_echo": _echo(args),
-        "weights": std.raw_weights(result.weights.weights),
-        "weights_standardized": result.weights.weights,
+        "weights": std.raw_weights(result.weights),
+        "weights_standardized": result.weights,
         "phases": result.phases.phis,
         "cost": result.cost,
         "r_squared": result.r_squared,
@@ -202,7 +209,7 @@ def cmd_sin_demo(args) -> int:
     payload = {
         "config_echo": _echo(args),
         "weights": demo.raw_weights,
-        "weights_standardized": demo.fit.weights.weights,
+        "weights_standardized": demo.fit.weights,
         "cost": demo.fit.cost,
         "r_squared": demo.fit.r_squared,
         "max_abs_curve_error": float(np.max(np.abs(demo.predictions - demo.truth))),

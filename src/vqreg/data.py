@@ -128,14 +128,12 @@ class DigitizedTable:
 
     ``bits[k, j]`` holds the sign bit of the ``2**-(j+1)`` term for cell
     ``k`` (row-major ``k = l*(M+1) + m``); ``x_tilde[k]`` is the decoded
-    value ``sum_j 2**-(j+1) * (-1)**bits[k, j]``, within ``2**-n_bits``
-    of the input.
+    value ``sum_j 2**-(j+1) * (-1)**bits[k, j]``, within ``2**-n`` of the
+    input for ``n = bits.shape[1]`` bits.
     """
 
     bits: np.ndarray
-    n_bits: int
     x_tilde: np.ndarray
-    delta_thetas: np.ndarray
     num_rows: int
     num_features: int
 
@@ -159,9 +157,7 @@ def digitize(std: StandardizedTable, n_bits: int) -> DigitizedTable:
     x_tilde = ((1.0 - 2.0 * bits) * weights).sum(axis=1)
     return DigitizedTable(
         bits=bits,
-        n_bits=n_bits,
         x_tilde=x_tilde,
-        delta_thetas=weights,
         num_rows=std.num_rows,
         num_features=std.num_features,
     )

@@ -12,11 +12,8 @@ Layouts
 Three preparation routes are provided: direct amplitude injection (the
 circuit-free reference), the controlled-Ry/CNOT gadget chain for one-hot
 states, and the compact route that writes phases ``sin(x_k)`` via an
-ancilla (optionally driving them from a simulated quantum memory register
-holding the digitized bits).  The classically driven compact routes apply
-all cell phases as one diagonal layer; the memory-driven route,
-:func:`prepare_compact_with_memory`, stays gate by gate, as the paper
-describes it, and is the oracle the fused layer is tested against.
+ancilla from the digitized values as one diagonal layer (the tests hold
+the paper's gate-by-gate, memory-driven form of it as an oracle).
 """
 from __future__ import annotations
 
@@ -29,7 +26,7 @@ from .data import DigitizedTable, StandardizedTable
 from .statevector import (
     StateVector,
     apply_cnot,
-    apply_controlled_diagonal_phase,
+    apply_controlled_diagonal_phase,  # noqa: F401  bench/test_bench.py reads it here
     apply_controlled_ry,
     apply_hadamard,
     apply_signed_phases,
@@ -206,53 +203,3 @@ def memory_free_compact(dig: DigitizedTable) -> PreparedState:
     # fix the overall phase (-i from the projection) so code amplitudes are real
     return PreparedState(StateVector(layout.n_k, 1j * conditional.amplitudes), layout)
 
-
-def prepare_compact_with_memory(dig: DigitizedTable) -> PreparedState:
-    """Compact preparation driven by a simulated quantum memory register.
-
-    The digitized bits sit in a computational basis state; every phase
-    ``exp(-i dtheta_j Z_A (x) |k><k| (x) Z_{k,j})`` is applied as a genuine
-    multi-register gate, the ancilla is post-selected on ``|->`` and the
-    memory register (never entangled with the data register) is traced
-    out by slicing its basis state.
-    """
-    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features, dig.n_bits)
-    k_cells = layout.num_cells
-    n = 1 + layout.n_k + layout.memory_qubit_count
-    if n > _MAX_SIM_QUBITS:
-        raise ValueError(
-            f"memory simulation needs {n} qubits (> {_MAX_SIM_QUBITS}); "
-            "use memory_free_compact for larger tables"
-        )
-    anc = n - 1
-    dim_qpu = 1 << layout.n_k
-
-    mem_pattern = 0
-    for k in range(k_cells):
-        for j in range(dig.n_bits):
-            if dig.bits[k, j]:
-                mem_pattern |= 1 << (k * dig.n_bits + j)
-
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    qpu = np.arange(dim_qpu, dtype=np.int64)
-    base = (mem_pattern << layout.n_k) | qpu
-    amps[base] = 1.0 / np.sqrt(2.0 * dim_qpu)
-    amps[base | (1 << anc)] = 1.0 / np.sqrt(2.0 * dim_qpu)
-    state = StateVector(n, amps)
-
-    for k, index in enumerate(layout.code_basis_indices.reshape(-1)):
-        controls = tuple((q, (int(index) >> q) & 1) for q in range(layout.n_k))
-        for j, dtheta in enumerate(dig.delta_thetas):
-            mem_q = layout.n_k + k * dig.n_bits + j
-            # exp(-i dtheta Z_A |k><k| Z_mem): split on the memory bit value
-            state = apply_controlled_diagonal_phase(
-                state, controls + ((mem_q, 0),), -dtheta, sign_qubit=anc)
-            state = apply_controlled_diagonal_phase(
-                state, controls + ((mem_q, 1),), +dtheta, sign_qubit=anc)
-
-    without_anc, prob = postselect(state, anc, "x-")
-    if prob <= 0.0:
-        raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
-    # memory register is in a basis state: slice its block
-    block = without_anc.amplitudes[(mem_pattern << layout.n_k) + qpu]
-    return PreparedState(StateVector(layout.n_k, 1j * block), layout)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PhaseVector
 from .data import StandardizedTable
 from .encoders import ONE_HOT, EncodingLayout
 from .statevector import StateVector, _hadamard_in_place, _paired_view, sample_indices
@@ -352,13 +351,10 @@ def pauli_shadow_estimate(
     return CostEstimate(value, config.snapshots, std_error)
 
 
-def r_squared(cost: float, std: StandardizedTable, phases: PhaseVector) -> float:
-    """``R^2 = 1 - C/C0`` against the null-model cost
-    ``C0 = cos^2(phi_0) / (1 + F)``."""
-    c0 = float(np.cos(phases.phis[0]) ** 2 * std.c0)
-    if c0 <= 0.0:
-        raise ValueError("C0 vanishes (degenerate response phase)")
-    return 1.0 - float(cost) / c0
+def r_squared(cost: float, std: StandardizedTable) -> float:
+    """``R^2 = 1 - C/C0`` against the null-model cost ``C0 = 1 / (1 + F)``
+    of the pinned response phase ``cos(phi_0) = -1``."""
+    return 1.0 - float(cost) / std.c0
 
 
 def variance_identity_plus_m(cost: float, num_features: int) -> float:

@@ -4,8 +4,8 @@ regression circuits need.
 Every phase stage of the model (the regression map, the compact
 encoding's phase imprint) is one layer of commuting ancilla-signed phases
 on known basis indices, so it is applied as a single diagonal pass by
-:func:`apply_signed_phases`.  The single controlled-phase gate stays for
-the memory-driven compact route, which the paper spells out gate by gate.
+:func:`apply_signed_phases`.  The tests' gate-by-gate oracles of those
+passes use the single controlled-phase gate.
 
 Conventions used everywhere in this package:
 

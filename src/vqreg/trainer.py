@@ -31,7 +31,6 @@ import numpy as np
 
 from .circuit import (
     PhaseVector,
-    WeightVector,
     apply_regression_map,
     phases_from_cosines,
     regression_map_state,
@@ -297,7 +296,7 @@ NO_SHOT_ACCEPTED = "the shots estimate at the returned point accepted no shot"
 
 @dataclass(frozen=True)
 class FitResult:
-    weights: WeightVector
+    weights: np.ndarray
     phases: PhaseVector
     cost: float
     r_squared: float
@@ -418,10 +417,10 @@ def _fit_result(std: StandardizedTable, config: TrainConfig, backend, point: np.
         if cost_value == 0.0:
             reason = NO_SHOT_ACCEPTED
     return FitResult(
-        weights=WeightVector(point),
+        weights=point,
         phases=phases,
         cost=cost_value,
-        r_squared=r_squared(cost_value, std, phases),
+        r_squared=r_squared(cost_value, std),
         restarts_used=restarts_used,
         converged=reason is None,
         evaluations=evaluations,
@@ -552,7 +551,7 @@ def _train_batches(args) -> list:
             result = batch_fit_result(std, batch_config, backend, points[i].copy(),
                                       int(restarts[i]), bool(converged[i]),
                                       int(evaluations[i]))
-            outcomes[b] = (result, std.raw_weights(result.weights.weights))
+            outcomes[b] = (result, std.raw_weights(result.weights))
     return [(b, *outcomes[b]) for b in batch_indices]
 
 
@@ -663,7 +662,7 @@ def fit_nonlinear_sin_demo(
     )
 
     result = fit(std, RegularizationParams(alpha_l1=alpha_l1), config)
-    raw_weights = std.raw_weights(result.weights.weights)
+    raw_weights = std.raw_weights(result.weights)
     grid = np.linspace(-1.0, 1.0, 201)
     response_mean = float(table.values[:, 0].mean())
     feature_means = table.values[:, 1:].mean(axis=0)

@@ -317,11 +317,10 @@ def test_c10_model_metrics():
         std = standardize(RawTable(rng.uniform(-1, 1, (16, m_feats + 1))))
         ok = ok and abs(std.c0 - 1.0 / (1.0 + m_feats)) <= 1e-10
     std = standardize(RawTable(rng.uniform(-1, 1, (12, 4))))
-    phases = PhaseVector(np.array([np.pi, 0.0, 0.0, 0.0]))
     anchors = (
-        r_squared(0.0, std, phases) == 1.0,
-        abs(r_squared(std.c0, std, phases)) < 1e-12,
-        abs(r_squared(4 * std.c0, std, phases) + 3.0) < 1e-12,
+        r_squared(0.0, std) == 1.0,
+        abs(r_squared(std.c0, std)) < 1e-12,
+        abs(r_squared(4 * std.c0, std) + 3.0) < 1e-12,
     )
     ok = ok and all(anchors)
     elapsed = time.time() - start

@@ -15,9 +15,10 @@ Regenerate only in a change that moves the bench's outputs on purpose::
 
 To compare two checkouts on more operations than the contract pins, print
 one SHA-256 per workload and seed over ops ``0 .. N-1`` without touching
-``bench_contract.json``, in each checkout, and compare the lines::
+``bench_contract.json``, in each checkout, and compare the lines.  Without
+``N``, each workload takes its count from ``DIGEST_OPS``::
 
-    PYTHONPATH=src python -m tests.test_bench_contract --digest 150 --seeds 7,41
+    PYTHONPATH=src python -m tests.test_bench_contract --digest --seeds 7,41
 """
 import hashlib
 import json
@@ -36,6 +37,8 @@ import workloads  # noqa: E402
 CONTRACT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_contract.json")
 OPS = range(12)
 SEEDS = (7, 29)
+#: ops per workload that ``--digest`` hashes when no count is given
+DIGEST_OPS = {"circuit-fit": 150, "ensemble": 60, "hw-estimate": 120}
 
 
 def output_hashes(name: str, seed: int, ops) -> list:
@@ -71,9 +74,9 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(
         description="Rewrite bench_contract.json, or with --digest only print digests.")
-    parser.add_argument("--digest", type=int, metavar="N",
+    parser.add_argument("--digest", type=int, nargs="?", const=0, metavar="N",
                         help="print one SHA-256 per workload and seed over ops 0..N-1 "
-                             "and leave the contract alone")
+                             "(without N: DIGEST_OPS) and leave the contract alone")
     parser.add_argument("--seeds", default=",".join(map(str, SEEDS)),
                         help="comma-separated seeds for --digest")
     parser.add_argument("--workloads", default=",".join(sorted(workloads.WORKLOADS)),
@@ -83,12 +86,13 @@ if __name__ == "__main__":
         os.chdir(work)
         if cli.digest is not None:
             for workload_name in cli.workloads.split(","):
+                count = cli.digest or DIGEST_OPS[workload_name]
                 for seed in map(int, cli.seeds.split(",")):
                     with contextlib.redirect_stdout(io.StringIO()):  # the CLI's own lines
-                        hashes = output_hashes(workload_name, seed, range(cli.digest))
+                        hashes = output_hashes(workload_name, seed, range(count))
                     joined = "".join(hashes)
                     digest = hashlib.sha256(joined.encode()).hexdigest()
-                    print(f"{workload_name} seed {seed} ops 0-{cli.digest - 1}: {digest}")
+                    print(f"{workload_name} seed {seed} ops 0-{count - 1}: {digest}")
             sys.exit(0)
         record = {"versions": versions(), "ops": list(OPS), "hashes": {
             workload_name: {str(seed): output_hashes(workload_name, seed, OPS) for seed in SEEDS}

@@ -68,9 +68,9 @@ def test_projected_amplitudes_match_formula():
 
 
 def test_phases_to_weights_examples():
-    assert abs(phases_to_weights(PhaseVector([np.pi, 0.0])).weights[0] - 1.0) < 1e-12
-    assert abs(phases_to_weights(PhaseVector([np.pi, np.pi])).weights[0] + 1.0) < 1e-12
-    assert abs(phases_to_weights(PhaseVector([np.pi, np.pi / 3])).weights[0] - 0.5) < 1e-12
+    assert abs(phases_to_weights(PhaseVector([np.pi, 0.0]))[0] - 1.0) < 1e-12
+    assert abs(phases_to_weights(PhaseVector([np.pi, np.pi]))[0] + 1.0) < 1e-12
+    assert abs(phases_to_weights(PhaseVector([np.pi, np.pi / 3]))[0] - 0.5) < 1e-12
     with pytest.raises(DegeneratePhaseError):
         phases_to_weights(PhaseVector([np.pi / 2, 0.0]))
 
@@ -112,7 +112,7 @@ def test_cosine_scale_invariance():
         scaled = std.cost(t * c)
         assert scaled == pytest.approx(t**2 * base, rel=1e-12)
         np.testing.assert_allclose(
-            cosines_to_weights(t * c).weights, cosines_to_weights(c).weights, atol=1e-12
+            cosines_to_weights(t * c), cosines_to_weights(c), atol=1e-12
         )
 
 

@@ -174,6 +174,11 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     (("noise-sweep", "--noise-levels", "0,-0.1"), "finite and at least 0"),
     (("shadow-study", "--epsilon", "nan"), "must be finite"),
     (("shadow-study", "--epsilon", "0"), "finite and greater than 0"),
+    (("generate", "--rows", "4", "--weights", ","), "expected at least one value"),
+    (("noise-sweep", "--batch-sizes", ","), "expected at least one value"),
+    (("noise-sweep", "--noise-levels", ","), "expected at least one value"),
+    (("shadow-study", "--col-qubits", ","), "expected at least one value"),
+    (("resources", "--rows-list", ",", "--table-csv", "r.csv"), "expected at least one value"),
 ])
 def test_non_finite_and_out_of_range_floats_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out.json"

@@ -20,6 +20,7 @@ from vqreg.data import (
     standardize,
 )
 from tests.test_encoders import table_from_values
+from tests.test_trainer import assert_lasso_optimal, lasso_coordinate_descent
 
 
 def least_squares_weights(values):
@@ -103,7 +104,7 @@ def test_digitize_error_bound_grid_and_random():
         dig = digitize(std, n_bits)
         assert np.max(np.abs(dig.x_tilde - std.values.reshape(-1))) <= 2.0**-n_bits + 1e-12
         # decoded values match the recorded bits
-        recon = ((1.0 - 2.0 * dig.bits) * dig.delta_thetas).sum(axis=1)
+        recon = ((1.0 - 2.0 * dig.bits) * 2.0 ** -np.arange(1, n_bits + 1)).sum(axis=1)
         np.testing.assert_allclose(recon, dig.x_tilde)
 
 
@@ -168,15 +169,19 @@ def test_power_features():
 
 
 def test_power_features_lasso_oracle_prefers_odd():
-    # classical elastic-net oracle: odd powers dominate when fitting sin(x)
-    sklearn_linear = pytest.importorskip("sklearn.linear_model")
+    # classical Lasso oracle: odd powers dominate when fitting sin(x).  The
+    # intercept is fitted by centering; alpha = 2 n * 1e-5 is scikit-learn's
+    # Lasso(alpha=1e-5), whose squared error carries a 1/(2n) factor
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, 64)
     feats = build_power_features(x, 15)
-    model = sklearn_linear.Lasso(alpha=1e-5, fit_intercept=True, max_iter=50000)
-    model.fit(feats, np.sin(x))
-    odd = np.abs(model.coef_[0::2]).sum()
-    even = np.abs(model.coef_[1::2]).sum()
+    X = feats - feats.mean(axis=0)
+    y = np.sin(x) - np.sin(x).mean()
+    alpha = 2 * x.size * 1e-5
+    coef = lasso_coordinate_descent(X, y, alpha)
+    assert_lasso_optimal(X, y, coef, alpha)
+    odd = np.abs(coef[0::2]).sum()
+    even = np.abs(coef[1::2]).sum()
     assert odd > 10 * even
 
 

@@ -12,13 +12,12 @@ from vqreg.encoders import (
     chain_angles,
     make_layout,
     memory_free_compact,
-    prepare_compact_with_memory,
     prepare_exact,
     prepare_one_hot_chain,
 )
 from vqreg.data import StandardizedTable
 from vqreg.measurement import exact_expectation
-from vqreg.statevector import StateVector
+from vqreg.statevector import StateVector, apply_controlled_diagonal_phase, postselect
 
 
 def table_from_values(values):
@@ -53,8 +52,56 @@ def make_digitized(x_tilde, num_rows, num_features, n_bits=4):
     for j, w in enumerate(weights):
         bits[:, j] = r < 0
         r -= w * (1 - 2 * bits[:, j])
-    return DigitizedTable(bits, n_bits, ((1 - 2 * bits) * weights).sum(axis=1),
-                          weights, num_rows, num_features)
+    return DigitizedTable(bits, ((1 - 2 * bits) * weights).sum(axis=1), num_rows, num_features)
+
+
+def prepare_compact_with_memory(dig):
+    """Compact preparation driven by a simulated quantum memory register,
+    gate by gate as the paper describes it: the oracle of the one diagonal
+    layer that :func:`memory_free_compact` applies.
+
+    The digitized bits sit in a computational basis state; every phase
+    ``exp(-i dtheta_j Z_A (x) |k><k| (x) Z_{k,j})`` is applied as a genuine
+    multi-register gate, the ancilla is post-selected on ``|->`` and the
+    memory register (never entangled with the data register) is traced
+    out by slicing its basis state.
+    """
+    n_bits = dig.bits.shape[1]
+    layout = make_layout(COMPACT_BINARY, dig.num_rows, dig.num_features, n_bits)
+    n = 1 + layout.n_k + layout.memory_qubit_count
+    anc = n - 1
+    dim_qpu = 1 << layout.n_k
+
+    mem_pattern = 0
+    for k in range(layout.num_cells):
+        for j in range(n_bits):
+            if dig.bits[k, j]:
+                mem_pattern |= 1 << (k * n_bits + j)
+
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    qpu = np.arange(dim_qpu, dtype=np.int64)
+    base = (mem_pattern << layout.n_k) | qpu
+    amps[base] = 1.0 / np.sqrt(2.0 * dim_qpu)
+    amps[base | (1 << anc)] = 1.0 / np.sqrt(2.0 * dim_qpu)
+    state = StateVector(n, amps)
+
+    for k, index in enumerate(layout.code_basis_indices.reshape(-1)):
+        controls = tuple((q, (int(index) >> q) & 1) for q in range(layout.n_k))
+        for j in range(n_bits):
+            dtheta = 2.0 ** -(j + 1)
+            mem_q = layout.n_k + k * n_bits + j
+            # exp(-i dtheta Z_A |k><k| Z_mem): split on the memory bit value
+            state = apply_controlled_diagonal_phase(
+                state, controls + ((mem_q, 0),), -dtheta, sign_qubit=anc)
+            state = apply_controlled_diagonal_phase(
+                state, controls + ((mem_q, 1),), +dtheta, sign_qubit=anc)
+
+    without_anc, prob = postselect(state, anc, "x-")
+    if prob <= 0.0:
+        raise ZeroSuccessProbabilityError("ancilla projection onto |-> has zero probability")
+    # memory register is in a basis state: slice its block
+    block = without_anc.amplitudes[(mem_pattern << layout.n_k) + qpu]
+    return PreparedState(StateVector(layout.n_k, 1j * block), layout)
 
 
 def test_one_hot_exact_two_by_two():
@@ -144,7 +191,7 @@ def test_memory_register_equivalence(num_rows, num_features, n_bits, seed):
 
 def test_all_zero_table_fails_post_selection():
     dig = make_digitized(np.zeros(4), 2, 1)
-    dig = DigitizedTable(dig.bits, dig.n_bits, np.zeros(4), dig.delta_thetas, 2, 1)
+    dig = DigitizedTable(dig.bits, np.zeros(4), 2, 1)
     with pytest.raises(ZeroSuccessProbabilityError):
         memory_free_compact(dig)
 
@@ -153,8 +200,7 @@ def test_single_nonzero_cell():
     # oracle: hand simulation gives success sin^2(t)/K and conditional |k=0>
     t = 0.45
     base = make_digitized([t, 0.0, 0.0, 0.0], 2, 1, n_bits=12)
-    dig = DigitizedTable(base.bits, base.n_bits, np.array([base.x_tilde[0], 0.0, 0.0, 0.0]),
-                         base.delta_thetas, 2, 1)
+    dig = DigitizedTable(base.bits, np.array([base.x_tilde[0], 0.0, 0.0, 0.0]), 2, 1)
     prep = memory_free_compact(dig)
     t_dig = dig.x_tilde[0]
     assert abs(prep.state.norm_squared - np.sin(t_dig) ** 2 / 4.0) < 1e-12
@@ -218,21 +264,14 @@ def test_digitization_error_propagation():
     assert abs(map_and_measure(prep_inf, phases) - exact) <= 5.0 * max_cube
 
 
-def test_memory_qubit_budget_guard():
-    std = random_std(4, 3, 2)
-    dig = digitize(std, 8)  # 1 + 4 + 128 qubits: far beyond the simulator
-    with pytest.raises(ValueError, match="memory_free_compact"):
-        prepare_compact_with_memory(dig)
-
-
 def test_compact_routes_enforce_the_qubit_cap():
     # 2**22 + 1 rows need 23 row qubits: with the column qubit and the
     # ancilla that is one past the 24-qubit cap.  Broadcast views keep the
     # table itself free; the check must come before the state is allocated.
     num_rows = (1 << 22) + 1
     cells = np.broadcast_to(0.25, (num_rows, 2))
-    dig = DigitizedTable(np.broadcast_to(np.int64(0), (2 * num_rows, 1)), 1, cells.reshape(-1),
-                         np.array([0.5]), num_rows, 1)
+    dig = DigitizedTable(np.broadcast_to(np.int64(0), (2 * num_rows, 1)), cells.reshape(-1),
+                         num_rows, 1)
     with pytest.raises(ValueError, match="capped at 24"):
         memory_free_compact(dig)
 

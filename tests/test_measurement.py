@@ -278,11 +278,10 @@ def test_shadow_validation():
 
 def test_model_metrics_anchor_points():
     std = random_std(6, 3, 10)
-    phases = PhaseVector(np.array([np.pi, 0.1, 0.2, 0.3]))
     c0 = std.c0
-    assert r_squared(0.0, std, phases) == 1.0
-    assert abs(r_squared(c0, std, phases)) < 1e-12
-    assert abs(r_squared(4 * c0, std, phases) + 3.0) < 1e-12
+    assert r_squared(0.0, std) == 1.0
+    assert abs(r_squared(c0, std)) < 1e-12
+    assert abs(r_squared(4 * c0, std) + 3.0) < 1e-12
     for m_feats in range(1, 9):
         s = random_std(12, m_feats, 11 + m_feats)
         assert abs(s.c0 - 1.0 / (1.0 + m_feats)) < 1e-10

@@ -29,7 +29,6 @@ ALLOWED = {
     "analytic_gradient": "the gradient C09 checks against central differences",
     "operator_identity_check": "C02's arbitration of the two closures of M_hat^2",
     "required_shots": "C02's Bernstein shot budgets under both variance formulas",
-    "prepare_compact_with_memory": "the gate-level memory-driven oracle of the fused compact layer",
 }
 
 ALLOWED_MEMBERS = {

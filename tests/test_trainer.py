@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqreg import trainer
+from vqreg.circuit import phases_to_weights
 from vqreg.data import (
     BootstrapPlan,
     RawTable,
@@ -70,7 +71,7 @@ def test_fit_recovers_least_squares():
     )
     std = standardize(master)
     result = fit(std)
-    raw_weights = std.raw_weights(result.weights.weights)
+    raw_weights = std.raw_weights(result.weights)
     oracle = least_squares_weights(master.values)
     np.testing.assert_allclose(raw_weights, oracle, atol=1e-3)
     assert result.cost < 1e-10
@@ -91,8 +92,8 @@ def test_fit_matches_ridge_oracle_and_shrinks():
         res = fit(std, RegularizationParams(beta_l2=beta),
                   TrainConfig(max_restarts=5, nm_tolerance_f=1e-16,
                               max_iterations_per_restart=3000))
-        np.testing.assert_allclose(res.weights.weights, oracle, atol=2e-5)
-        norms.append(np.abs(res.weights.weights).sum())
+        np.testing.assert_allclose(res.weights, oracle, atol=2e-5)
+        norms.append(np.abs(res.weights).sum())
     assert all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
 
 
@@ -105,7 +106,7 @@ def test_l1_penalty_monotone():
         res = fit(std, RegularizationParams(alpha_l1=alpha),
                   TrainConfig(max_restarts=5, nm_tolerance_f=1e-16,
                               max_iterations_per_restart=3000))
-        totals.append(np.abs(res.weights.weights).sum())
+        totals.append(np.abs(res.weights).sum())
     assert all(totals[i + 1] <= totals[i] + 1e-6 for i in range(len(totals) - 1))
 
 
@@ -124,6 +125,16 @@ def lasso_coordinate_descent(X, y, alpha, sweeps=20000):
     return w
 
 
+def assert_lasso_optimal(X, y, w, alpha):
+    """The Lasso optimality (KKT) conditions of ``w``: the gradient of the
+    squared error is ``alpha * sign(w_j)`` on the support, at most ``alpha``
+    in size off it."""
+    grad = 2.0 * X.T @ (y - X @ w)
+    on = w != 0.0
+    np.testing.assert_allclose(grad[on], alpha * np.sign(w[on]), atol=1e-12)
+    assert np.all(np.abs(grad[~on]) <= alpha + 1e-12)
+
+
 def test_fit_matches_lasso_coordinate_descent():
     rng = np.random.default_rng(12)
     zeroed = 0
@@ -132,16 +143,12 @@ def test_fit_matches_lasso_coordinate_descent():
         y, X = std.values[:, 0], std.values[:, 1:]
         for alpha in (1e-4, 1e-3, 1e-2, 5e-2):
             oracle = lasso_coordinate_descent(X, y, alpha)
-            # the oracle itself satisfies the Lasso optimality conditions
-            grad = 2.0 * X.T @ (y - X @ oracle)
-            on = oracle != 0.0
-            np.testing.assert_allclose(grad[on], alpha * np.sign(oracle[on]), atol=1e-12)
-            assert np.all(np.abs(grad[~on]) <= alpha + 1e-12)
-            zeroed += int(np.sum(~on))
+            assert_lasso_optimal(X, y, oracle, alpha)
+            zeroed += int(np.sum(oracle == 0.0))
             res = fit(std, RegularizationParams(alpha_l1=alpha),
                       TrainConfig(max_restarts=5, nm_tolerance_f=1e-16,
                                   max_iterations_per_restart=3000))
-            np.testing.assert_allclose(res.weights.weights, oracle, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(res.weights, oracle, rtol=0, atol=1e-6)
     assert zeroed > 0  # some cases sit on the L1 kink at zero
 
 
@@ -162,7 +169,7 @@ def test_backend_equivalence_fixed_budget():
                           nm_tolerance_x=0.0, max_iterations_per_restart=300)
         results.append(fit(std, config=cfg))
     np.testing.assert_allclose(
-        results[0].weights.weights, results[1].weights.weights, atol=1e-9
+        results[0].weights, results[1].weights, atol=1e-9
     )
     assert abs(results[0].cost - results[1].cost) < 1e-12
 
@@ -174,7 +181,7 @@ def test_fit_determinism_at_json_level():
     for _ in range(2):
         res = fit(std, RegularizationParams(1e-6, 1e-6), TrainConfig(seed=3))
         dumps.append(json.dumps({
-            "w": res.weights.weights.tolist(),
+            "w": res.weights.tolist(),
             "cost": res.cost,
             "phases": res.phases.phis.tolist(),
         }))
@@ -190,7 +197,7 @@ def test_fit_shots_backend_smoke(estimator):
                       max_restarts=2, max_iterations_per_restart=80)
     res = fit(std, config=cfg)
     oracle = least_squares_weights(master.values)
-    raw = std.raw_weights(res.weights.weights)
+    raw = std.raw_weights(res.weights)
     # a sampled objective leaves a sqrt(noise) plateau around the minimum
     assert abs(raw[0] - oracle[0]) < 0.3
 
@@ -207,9 +214,21 @@ def test_shots_fit_reports_the_cost_without_readout_attenuation():
     cfg = TrainConfig(cost_backend="shots", shots=1 << 18, readout_delta=0.05, seed=2,
                       max_restarts=1, max_iterations_per_restart=1, initial_weights=w0)
     res = fit(std, config=cfg)
-    exact = std.cost(np.concatenate(([-1.0], res.weights.weights)))
+    exact = std.cost(np.concatenate(([-1.0], res.weights)))
     assert abs(res.cost / exact - 1.0) < 0.05
     assert abs(res.r_squared - (1.0 - exact / std.c0)) < 0.02
+
+
+@pytest.mark.parametrize("backend", ["analytic", "circuit"])
+def test_trained_phases_read_out_to_the_trained_weights(backend):
+    # the paper's claim on a trained model: W_m = -cos(phi_m)/cos(phi_0).
+    # max|W| is 0.709 here, so the cosine clamp never binds; the table
+    # where it does (max|W| > 1) is left to the clamp's own fix
+    std = standardize(generate_linear_synthetic(
+        SyntheticSpec(40, np.array([0.5, -1.5, 2.0]), 0.1, 3)))
+    res = fit(std, config=TrainConfig(cost_backend=backend))
+    assert np.max(np.abs(res.weights)) < 1.0
+    np.testing.assert_allclose(phases_to_weights(res.phases), res.weights, rtol=0, atol=1e-12)
 
 
 def test_fit_initial_weights_validation():
@@ -318,7 +337,7 @@ def scalar_outcomes(raw, plan, reg, config):
 
 
 def assert_same_fit(got, want):
-    np.testing.assert_array_equal(got.weights.weights, want.weights.weights)
+    np.testing.assert_array_equal(got.weights, want.weights)
     np.testing.assert_array_equal(got.phases.phis, want.phases.phis)
     assert (got.cost, got.r_squared) == (want.cost, want.r_squared)
     assert (got.evaluations, got.restarts_used) == (want.evaluations, want.restarts_used)
